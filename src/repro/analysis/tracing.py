@@ -118,8 +118,8 @@ def traced_point(
         seed=seed,
     )
     # Traced runs always take the generator path (span recording is a
-    # fallback reason for the compiled twins); mounting the counters
-    # makes that visible in the summary as ``compiled_fallbacks``.
+    # fallback reason for staged replay); mounting the counters makes
+    # that visible in the summary as ``compiled_fallbacks``.
     register_compiled_metrics(engine.metrics)
     record = {
         "cycles": engine.clock,

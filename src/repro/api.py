@@ -298,7 +298,6 @@ def run_experiment(
     *,
     jobs: int | None = None,
     cache=None,
-    engine: str | None = None,
 ) -> ExperimentResult:
     """Run one paper experiment (table/figure) by name.
 
@@ -306,10 +305,7 @@ def run_experiment(
     data document plus a renderer instead of printed text. ``jobs``
     fans the experiment's sweep across worker processes; ``cache``
     (a :class:`~repro.perf.ResultCache`) replays previously computed
-    points; ``engine="compiled"`` routes compilable sweep points
-    through the trace-compiled replay path (``"generators"`` forces
-    the live coroutine simulator, ``None`` keeps the ambient mode).
-    All three leave the document bit-identical.
+    points. Both leave the document bit-identical.
     """
     from repro.analysis.figures import available_experiments, run_experiment_data
 
@@ -319,9 +315,7 @@ def run_experiment(
             f"{', '.join(available_experiments())}"
         )
     with _perf_scope(jobs, cache):
-        return ExperimentResult(
-            name=name, doc=run_experiment_data(name, engine=engine)
-        )
+        return ExperimentResult(name=name, doc=run_experiment_data(name))
 
 
 def serve(

@@ -177,7 +177,7 @@ class ImplicitSortedArray(_ArrayBase):
     ) -> None:
         super().__init__(region, size, element_size)
         #: True when ``value_at(i) == i`` — the paper's microbenchmark
-        #: array. The trace-compiled replay path vectorizes the probe
+        #: array. The staged replay path vectorizes the probe
         #: recurrence with numpy when this holds.
         self.is_identity = value_fn is None
         self._value_fn = value_fn or (lambda index: index)

@@ -11,12 +11,15 @@
   estimator of Section 5.4.5.
 * :mod:`~repro.interleaving.executor` — the Executor protocol, the
   string-keyed registry all layers dispatch through, and the batching
-  :class:`~repro.interleaving.executor.BulkPipeline`.
-* :mod:`~repro.interleaving.compiled` — trace-compiled executor twins
-  (``CORO-compiled`` and kin) that stage each technique's interleave
-  schedule once and replay it without generators, plus the
-  ``engine="generators"|"compiled"`` knob (:func:`use_engine`,
-  :func:`resolve_executor`).
+  :class:`~repro.interleaving.executor.BulkPipeline`. There is one
+  executor per technique: it replays a staged schedule when the shape
+  compiles and runs its generator scheduler otherwise (counted).
+  :func:`~repro.interleaving.executor.generator_oracle` reaches the
+  generator schedulers directly, as the reference oracle.
+* :mod:`~repro.interleaving.compiled` — the staged-replay engine path:
+  each technique's interleave schedule is staged once, checked against
+  a recorded generator trace, and replayed without generators; plus the
+  compile/replay/fallback counters.
 """
 
 from repro.interleaving.amac import (
@@ -39,22 +42,17 @@ from repro.interleaving.executor import (
     Executor,
     executor_names,
     executors_supporting,
+    generator_oracle,
     get_executor,
     paper_techniques,
     register_executor,
 )
 from repro.interleaving.compiled import (
-    COMPILED_TWINS,
-    ENGINE_MODES,
     compiled_metrics_source,
     compiled_stats,
     compiled_timings,
-    default_engine,
     register_compiled_metrics,
     reset_compiled_stats,
-    resolve_executor,
-    set_default_engine,
-    use_engine,
 )
 from repro.interleaving.gp import gp_binary_search_bulk
 from repro.interleaving.handle import CoroutineHandle, FramePool
@@ -101,17 +99,11 @@ __all__ = [
     "choose_policy",
     "choose_policy_for_bytes",
     "default_group_size",
-    "COMPILED_TWINS",
-    "ENGINE_MODES",
     "compiled_metrics_source",
     "compiled_stats",
     "compiled_timings",
-    "default_engine",
     "register_compiled_metrics",
     "reset_compiled_stats",
-    "resolve_executor",
-    "set_default_engine",
-    "use_engine",
     "EXECUTOR_REGISTRY",
     "WORKLOAD_KINDS",
     "BulkLookup",
@@ -120,6 +112,7 @@ __all__ = [
     "Executor",
     "executor_names",
     "executors_supporting",
+    "generator_oracle",
     "get_executor",
     "paper_techniques",
     "register_executor",

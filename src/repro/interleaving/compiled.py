@@ -1,4 +1,4 @@
-"""Trace-compiled executors: staged interleave schedules, replayed flat.
+"""Staged replay: the engine path behind every schedulable executor.
 
 For a fixed (technique, group size, index shape) the suspend/resume
 sequence of every scheduler in this package is *deterministic*: which
@@ -14,7 +14,7 @@ module does the Python-simulator equivalent:
    schedule*: a table of ``(event_kind, address_index, cycle_cost)`` rows
    with consecutive straight-line computes pre-merged. The staging is
    verified against a real recorded trace: the first time a (technique,
-   group size) pair compiles, the live generator executor runs on a small
+   group size) pair compiles, the generator scheduler runs on a small
    calibration table under a recording engine, and the schedule must
    reproduce that event stream byte for byte (a mismatch is a hard
    :class:`~repro.errors.SimulationError`, never a silent wrong answer).
@@ -24,31 +24,34 @@ module does the Python-simulator equivalent:
    the paper's identity arrays (a pure-Python pass covers arbitrary
    monotone ``value_fn`` tables), and schedule rows reference flat
    ``key * depth + iteration`` indexes into it.
-3. **Replay** — a table-driven loop executes the schedule directly
-   against the live memory system (same cache dicts, same TLB LRU
-   arrays, same line-fill buffers, same ``FillRequest`` objects) with
-   the engine's arithmetic inlined and all statistics accumulated in
-   local integers, written back once at the end. No generators, no event
-   objects, no dispatch — and **bit-identical** cycle counts, search
-   results, and counters, because every arithmetic step is the same
-   integer arithmetic :mod:`repro.sim.engine` performs.
+3. **Replay** — a loop generated and compiled per machine geometry
+   executes the schedule directly against the live memory system (same
+   cache dicts, same TLB LRU arrays, same line-fill buffers, same
+   ``FillRequest`` objects) with the engine's arithmetic inlined and all
+   statistics accumulated in local integers, written back once at the
+   end. No generators, no event objects, no dispatch — and
+   **bit-identical** cycle counts, search results, and counters, because
+   every arithmetic step is the same integer arithmetic
+   :mod:`repro.sim.engine` performs.
 
-Compiled schedules are memoized in-process and persisted through the
+The registry executors (``Baseline``, ``GP``, ``AMAC``, ``CORO``,
+``sequential``) call :func:`replay_staged` on every run. Compiled
+schedules are memoized in-process and persisted through the
 content-addressed :class:`~repro.perf.cache.ResultCache` (when
 ``repro.perf`` has one configured), keyed on the schedule parameters plus
 the simulator source fingerprint — editing any simulation source
 invalidates every stored schedule.
 
-Shapes the trace can not represent fall back — **counted** — to the
-generator twin: non-array workloads (CSB+-tree, hash probes, raw
-streams), traced runs (span recorders need the live event stream),
-engine subclasses, and degenerate one-element tables. The counters are
-exported through ``repro.perf.metrics`` under ``interleaving.compiled``.
+Shapes the schedule can not represent fall back — **counted** — to the
+executor's generator scheduler: non-array workloads (CSB+-tree, hash
+probes, raw streams), traced runs (span recorders need the live event
+stream), engine subclasses, degenerate one-element tables, and array
+layouts whose elements can straddle a cache line. The counters are
+exported through ``repro.obs`` metrics under ``interleaving.compiled``.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from heapq import heapify, heappop, heappush
 from operator import itemgetter
 from textwrap import indent as _indent_text
@@ -56,41 +59,22 @@ from time import perf_counter
 
 import numpy as np
 
-from repro.errors import SimulationError, WorkloadError
+from repro.errors import SimulationError
 from repro.indexes.binary_search import DEFAULT_COSTS
-from repro.interleaving.executor import (
-    CSB_TREE,
-    HASH_PROBE,
-    SORTED_ARRAY,
-    WORKLOAD_KINDS,
-    BulkLookup,
-    _ExecutorBase,
-    get_executor,
-    register_executor,
-)
+from repro.interleaving.executor import SORTED_ARRAY, BulkLookup
 from repro.sim.allocator import PAGE_TABLE_BASE
 from repro.sim.engine import ExecutionEngine
 from repro.sim.lfb import FillRequest
 from repro.sim.tlb import PTE_SIZE
 
 __all__ = [
-    "ENGINE_MODES",
-    "COMPILED_TWINS",
-    "default_engine",
-    "set_default_engine",
-    "use_engine",
-    "resolve_executor",
     "compiled_stats",
     "compiled_timings",
     "compiled_metrics_source",
     "register_compiled_metrics",
     "reset_compiled_stats",
+    "replay_staged",
     "search_depth",
-    "CompiledBaselineExecutor",
-    "CompiledGpExecutor",
-    "CompiledAmacExecutor",
-    "CompiledCoroExecutor",
-    "CompiledSequentialExecutor",
 ]
 
 # ----------------------------------------------------------------------
@@ -131,9 +115,9 @@ def compiled_timings() -> dict:
 def compiled_metrics_source() -> dict:
     """Metrics-source view of the counters (see ``register_compiled_metrics``).
 
-    The headline counter is ``compiled_fallbacks`` — bulk runs a compiled
-    twin routed back through its generator twin instead of replaying a
-    staged schedule.
+    The headline counter is ``compiled_fallbacks`` — bulk runs of a
+    schedulable executor that took its generator scheduler instead of
+    replaying a staged schedule.
     """
     stats = compiled_stats()
     stats["compiled_fallbacks"] = stats.pop("fallbacks")
@@ -169,77 +153,6 @@ def _count_fallback(executor_name: str, reason: str) -> None:
     by_reason[reason] = by_reason.get(reason, 0) + 1
     by_executor = _STATS["fallbacks_by_executor"]
     by_executor[executor_name] = by_executor.get(executor_name, 0) + 1
-
-
-# ----------------------------------------------------------------------
-# The engine knob: generators vs compiled
-# ----------------------------------------------------------------------
-
-#: Accepted values for the ``engine=`` knob.
-ENGINE_MODES = ("generators", "compiled")
-
-#: Generator technique (registry key, lower case) -> compiled twin key.
-COMPILED_TWINS = {
-    "baseline": "baseline-compiled",
-    "gp": "gp-compiled",
-    "amac": "amac-compiled",
-    "coro": "coro-compiled",
-    "interleaved": "coro-compiled",
-    "sequential": "sequential-compiled",
-}
-
-_ENGINE_STATE = {"mode": "generators"}
-
-
-def _check_mode(mode: str | None) -> str:
-    if mode is None:
-        return "generators"
-    if mode not in ENGINE_MODES:
-        raise WorkloadError(
-            f"unknown engine mode {mode!r}; expected one of {ENGINE_MODES}"
-        )
-    return mode
-
-
-def default_engine() -> str:
-    """The process-wide engine mode (``"generators"`` unless overridden)."""
-    return _ENGINE_STATE["mode"]
-
-
-def set_default_engine(mode: str | None) -> str:
-    """Set the process-wide engine mode; returns the previous mode."""
-    previous = _ENGINE_STATE["mode"]
-    _ENGINE_STATE["mode"] = _check_mode(mode)
-    return previous
-
-
-@contextmanager
-def use_engine(mode: str | None):
-    """Scoped engine-mode override (``None`` is a no-op passthrough)."""
-    if mode is None:
-        yield
-        return
-    previous = set_default_engine(mode)
-    try:
-        yield
-    finally:
-        _ENGINE_STATE["mode"] = previous
-
-
-def resolve_executor(name: str, engine: str | None = None):
-    """Resolve an executor name through the engine knob.
-
-    With ``engine="compiled"`` (or a ``use_engine("compiled")`` scope in
-    effect) techniques that have a compiled twin resolve to it; every
-    other name — including explicit ``*-compiled`` names — resolves
-    exactly as :func:`~repro.interleaving.executor.get_executor` would.
-    """
-    mode = _check_mode(engine) if engine is not None else _ENGINE_STATE["mode"]
-    if mode == "compiled":
-        twin = COMPILED_TWINS.get(str(name).lower())
-        if twin is not None:
-            return get_executor(twin)
-    return get_executor(name)
 
 
 # ----------------------------------------------------------------------
@@ -374,16 +287,6 @@ _OPS_BUILDERS = {
     "amac": _ops_amac,
     "coro": _ops_coro,
 }
-
-#: Compiled technique key -> generator-twin registry key.
-_GENERATOR_TWIN = {
-    "baseline": "baseline",
-    "sequential": "sequential",
-    "gp": "gp",
-    "amac": "amac",
-    "coro": "coro",
-}
-
 
 # ----------------------------------------------------------------------
 # Lowering: symbolic ops -> replay rows
@@ -650,16 +553,17 @@ def _expand_expected(ops, addresses, depth, iter_cost, element_size, cost):
     return expected
 
 
-def _validate_staging(technique: str, group_size: int, arch) -> None:
-    """Record the live executor once; the staged schedule must match it.
+def _validate_staging(executor, group_size: int, arch) -> None:
+    """Record the generator scheduler once; the staged schedule must match it.
 
-    Runs the generator twin on a small calibration table under a
-    :class:`_RecordingEngine` and compares its event stream — addresses,
-    sizes, and compute charges included — against the staged ops expanded
-    with the calibration probe addresses. Covers the schedule structure
-    end to end: prologue allocations, refill timing, partial final
-    generations, and the per-visit event mix.
+    Runs ``executor``'s generator scheduler on a small calibration table
+    under a :class:`_RecordingEngine` and compares its event stream —
+    addresses, sizes, and compute charges included — against the staged
+    ops expanded with the calibration probe addresses. Covers the
+    schedule structure end to end: prologue allocations, refill timing,
+    partial final generations, and the per-visit event mix.
     """
+    technique = executor.schedule
     cost = arch.cost
     signature = (
         technique,
@@ -683,8 +587,7 @@ def _validate_staging(technique: str, group_size: int, arch) -> None:
     n = 2 * group_size + max(2, group_size // 2)  # 2 generations + a partial
     values = [(index * 97 + 13) % table.size for index in range(n)]
     recorder = _RecordingEngine(arch)
-    twin = get_executor(_GENERATOR_TWIN[technique])
-    recorded_results = twin._run(
+    recorded_results = executor._run_generators(
         BulkLookup.sorted_array(table, values), recorder, group_size
     )
     iter_cost = (DEFAULT_COSTS.iter_cycles, DEFAULT_COSTS.iter_instructions)
@@ -703,454 +606,17 @@ def _validate_staging(technique: str, group_size: int, arch) -> None:
 
 
 # ----------------------------------------------------------------------
-# Replay: the table-driven engine path
-# ----------------------------------------------------------------------
-
-
-def _replay_generic(engine: ExecutionEngine, rows: list, totals: tuple,
-                    addresses: list, element_size: int, results: list) -> list:
-    """Execute a staged schedule against the live engine state (reference).
-
-    Performs exactly the integer arithmetic of
-    :class:`~repro.sim.engine.ExecutionEngine` /
-    :class:`~repro.sim.memory.MemorySystem` / :class:`~repro.sim.tlb.Tlb`
-    / :class:`~repro.sim.lfb.LineFillBuffers`, against the same live
-    dicts and ``FillRequest`` objects, with statistics accumulated in
-    locals and written back once. The hot paths — DTLB hit, L1 hit, LFB
-    hit — are inlined straight into the row loop; the cold paths (page
-    walks, fill starts, completions, straddling accesses) live in
-    closures. Any behavioural divergence from the simulator modules is a
-    bug; the golden equivalence tests pin bit-identity.
-    """
-    arch = engine.arch
-    cost = engine.cost
-    memory = engine.memory
-    issue_width = cost.issue_width
-    ooo_hide = cost.ooo_hide
-    walk_base = cost.page_walk_base_cycles
-    prefetch_advance = _advance(
-        cost.prefetch_issue_cycles, cost.prefetch_issue_instructions, issue_width
-    )
-    line_size = memory.line_size
-
-    tlb = memory.tlb
-    page_size = tlb._page_size
-    stlb_latency = tlb._stlb_latency
-    dtlb = tlb._dtlb
-    stlb = tlb._stlb
-    dtlb_sets, dtlb_n, dtlb_assoc = dtlb._sets, dtlb.n_sets, dtlb.associativity
-    stlb_sets, stlb_n, stlb_assoc = stlb._sets, stlb.n_sets, stlb.associativity
-    walks_by_level = tlb.stats.walks_by_level
-
-    l1, l2, l3 = memory.l1, memory.l2, memory.l3
-    l1_sets, l1_n, l1_assoc, l1_latency = l1._sets, l1.n_sets, l1.associativity, l1.latency
-    l2_sets, l2_n, l2_assoc, l2_latency = l2._sets, l2.n_sets, l2.associativity, l2.latency
-    l3_sets, l3_n, l3_assoc, l3_latency = l3._sets, l3.n_sets, l3.associativity, l3.latency
-    # An L1 hit's exposed latency is a constant (usually negative: the
-    # out-of-order window hides short latencies entirely).
-    l1_exposed = l1_latency - ooo_hide
-
-    lfbs = memory.lfbs
-    in_flight = lfbs._in_flight
-    in_flight_get = in_flight.get
-    lfb_capacity = lfbs.capacity
-    dram_latency = arch.dram_latency + memory.extra_dram_latency
-
-    infinity = float("inf")
-    next_completion = lfbs._next_completion
-    clock = engine.clock
-    entry_clock = clock
-
-    # One vectorized pass replaces the per-row address arithmetic:
-    # every row needs only its cache-line index (first/last) and its
-    # virtual page number. ``tolist`` yields Python ints, keeping the
-    # replay's arithmetic (and the engine clock) in exact int land.
-    addresses_np = np.asarray(addresses, dtype=np.int64)
-    lines_first = (addresses_np // line_size).tolist()
-    lines_last = ((addresses_np + (element_size - 1)) // line_size).tolist()
-    vpns = (addresses_np // page_size).tolist()
-
-    # Deferred statistic deltas (plain ints; written back once at the end).
-    memory_slots = 0
-    memory_stall = translation_stall = lfb_stall = 0
-    dtlb_hits = stlb_hits = walk_cycles_delta = 0
-    l1_hits = l1_misses = l1_installs = l1_evictions = 0
-    l2_hits = l2_misses = l2_installs = l2_evictions = 0
-    l3_hits = l3_misses = l3_installs = l3_evictions = 0
-    fills_issued = 0
-    acquire_stall = 0
-    peak_occupancy = lfbs.peak_occupancy
-    loads_l1 = loads_lfb = loads_l2 = loads_l3 = loads_dram = 0
-    prefetch_count = prefetch_useless = 0
-
-    def drain(now):
-        nonlocal next_completion
-        nonlocal l1_installs, l1_evictions, l2_installs, l2_evictions
-        nonlocal l3_installs, l3_evictions
-        # Single pass: collect completed fills and the next completion
-        # horizon together (completing a fill never adds new fills, so
-        # the surviving minimum is final).
-        done = []
-        horizon = infinity
-        for request in in_flight.values():
-            completion = request.completion_cycle
-            if completion <= now:
-                done.append(request)
-            elif completion < horizon:
-                horizon = completion
-        for request in done:
-            line = request.line
-            del in_flight[line]
-            source = request.source_level
-            if request.non_temporal:
-                if source == "DRAM":
-                    ways = l3_sets[line % l3_n]
-                    if line in ways:
-                        del ways[line]
-                    elif len(ways) >= l3_assoc:
-                        del ways[next(iter(ways))]
-                        l3_evictions += 1
-                    ways[line] = None
-                    l3_installs += 1
-            elif source == "DRAM":
-                ways = l3_sets[line % l3_n]
-                if line in ways:
-                    del ways[line]
-                elif len(ways) >= l3_assoc:
-                    del ways[next(iter(ways))]
-                    l3_evictions += 1
-                ways[line] = None
-                l3_installs += 1
-                ways = l2_sets[line % l2_n]
-                if line in ways:
-                    del ways[line]
-                elif len(ways) >= l2_assoc:
-                    del ways[next(iter(ways))]
-                    l2_evictions += 1
-                ways[line] = None
-                l2_installs += 1
-            elif source == "L3":
-                ways = l2_sets[line % l2_n]
-                if line in ways:
-                    del ways[line]
-                elif len(ways) >= l2_assoc:
-                    del ways[next(iter(ways))]
-                    l2_evictions += 1
-                ways[line] = None
-                l2_installs += 1
-            ways = l1_sets[line % l1_n]
-            if line in ways:
-                del ways[line]
-            elif len(ways) >= l1_assoc:
-                del ways[next(iter(ways))]
-                l1_evictions += 1
-            ways[line] = None
-            l1_installs += 1
-        next_completion = horizon
-
-    def start_fill(line, now, non_temporal, is_prefetch):
-        # Caller guarantees `line` is neither in L1 nor in flight, and
-        # has already drained at `now`. Returns (completion, source,
-        # issue_stall) exactly like MemorySystem._start_fill.
-        nonlocal next_completion, fills_issued, peak_occupancy, acquire_stall
-        nonlocal l2_hits, l2_misses, l3_hits, l3_misses
-        start = now
-        while len(in_flight) >= lfb_capacity:
-            earliest = next_completion
-            acquire_stall += earliest - start
-            start = earliest
-            drain(start)
-        ways = l2_sets[line % l2_n]
-        if line in ways:
-            l2_hits += 1
-            del ways[line]
-            ways[line] = None
-            source, latency = "L2", l2_latency
-        else:
-            l2_misses += 1
-            ways = l3_sets[line % l3_n]
-            if line in ways:
-                l3_hits += 1
-                del ways[line]
-                ways[line] = None
-                source, latency = "L3", l3_latency
-            else:
-                l3_misses += 1
-                source, latency = "DRAM", dram_latency
-        completion = start + latency
-        in_flight[line] = FillRequest(
-            line, start, completion, source, non_temporal, is_prefetch
-        )
-        if completion < next_completion:
-            next_completion = completion
-        fills_issued += 1
-        occupancy = len(in_flight)
-        if occupancy > peak_occupancy:
-            peak_occupancy = occupancy
-        return completion, source, start - now
-
-    def translate_slow(vpn, now):
-        # DTLB miss (the caller handled the hit): STLB probe, then the
-        # page walk with its leaf-PTE access through the data caches.
-        # Returns the advanced clock.
-        nonlocal stlb_hits, walk_cycles_delta
-        nonlocal memory_stall, translation_stall, memory_slots
-        nonlocal l1_hits, l1_misses
-        stlb_ways = stlb_sets[vpn % stlb_n]
-        dtlb_ways = dtlb_sets[vpn % dtlb_n]
-        if vpn in stlb_ways:
-            del stlb_ways[vpn]
-            stlb_ways[vpn] = None
-            stlb_hits += 1
-            if vpn in dtlb_ways:
-                del dtlb_ways[vpn]
-            elif len(dtlb_ways) >= dtlb_assoc:
-                del dtlb_ways[next(iter(dtlb_ways))]
-            dtlb_ways[vpn] = None
-            memory_stall += stlb_latency
-            translation_stall += stlb_latency
-            memory_slots += issue_width * stlb_latency
-            return now + stlb_latency
-        # Page walk: fixed overhead + the PTE load (never recorded in
-        # loads_by_level), partially hidden by out-of-order execution.
-        probe_at = now + walk_base
-        pte_line = (PAGE_TABLE_BASE + vpn * PTE_SIZE) // line_size
-        if probe_at >= next_completion:
-            drain(probe_at)
-        ways = l1_sets[pte_line % l1_n]
-        if ways.pop(pte_line, 0) is None:
-            ways[pte_line] = None
-            l1_hits += 1
-            ready = probe_at + l1_latency
-            level = "L1"
-        else:
-            l1_misses += 1
-            request = in_flight_get(pte_line)
-            if request is not None:
-                request.non_temporal = False
-                request.is_prefetch = False
-                completion = request.completion_cycle
-                ready = completion if completion > probe_at else probe_at
-                level = request.source_level
-            else:
-                ready, level, _stall = start_fill(pte_line, probe_at, False, False)
-        cycles = walk_base + (ready - probe_at)
-        bucket = "PW-" + level
-        walks_by_level[bucket] = walks_by_level.get(bucket, 0) + 1
-        walk_cycles_delta += cycles
-        if vpn in stlb_ways:
-            del stlb_ways[vpn]
-        elif len(stlb_ways) >= stlb_assoc:
-            del stlb_ways[next(iter(stlb_ways))]
-        stlb_ways[vpn] = None
-        if vpn in dtlb_ways:
-            del dtlb_ways[vpn]
-        elif len(dtlb_ways) >= dtlb_assoc:
-            del dtlb_ways[next(iter(dtlb_ways))]
-        dtlb_ways[vpn] = None
-        charged = cycles - ooo_hide
-        if charged < walk_base:
-            charged = walk_base
-        memory_stall += charged
-        translation_stall += charged
-        memory_slots += issue_width * charged
-        return now + charged
-
-    for op, a, advance in rows:
-        if advance:  # the compute block preceding this memory operation
-            clock += advance
-        if op == 1:  # demand load
-            vpn = vpns[a]
-            dtlb_ways = dtlb_sets[vpn % dtlb_n]
-            if dtlb_ways.pop(vpn, 0) is None:
-                dtlb_ways[vpn] = None
-                dtlb_hits += 1
-            else:
-                clock = translate_slow(vpn, clock)
-            if clock >= next_completion:
-                drain(clock)
-            line = lines_first[a]
-            if line == lines_last[a]:
-                ways = l1_sets[line % l1_n]
-                if ways.pop(line, 0) is None:  # L1 hit
-                    ways[line] = None
-                    l1_hits += 1
-                    loads_l1 += 1
-                    if l1_exposed > 0:
-                        memory_stall += l1_exposed
-                        memory_slots += issue_width * l1_exposed
-                        clock += l1_exposed
-                    continue
-                l1_misses += 1
-                request = in_flight_get(line)
-                if request is not None:  # LFB hit: demand merge
-                    request.non_temporal = False
-                    request.is_prefetch = False
-                    loads_lfb += 1
-                    exposed = request.completion_cycle - clock - ooo_hide
-                    if exposed > 0:
-                        memory_stall += exposed
-                        memory_slots += issue_width * exposed
-                        clock += exposed
-                    continue
-                ready, source, stall = start_fill(line, clock, False, False)
-                if stall:
-                    memory_stall += stall
-                    lfb_stall += stall
-                    memory_slots += issue_width * stall
-                    clock += stall
-                if source == "L2":
-                    loads_l2 += 1
-                elif source == "L3":
-                    loads_l3 += 1
-                else:
-                    loads_dram += 1
-                exposed = ready - clock - ooo_hide
-                if exposed > 0:
-                    memory_stall += exposed
-                    memory_slots += issue_width * exposed
-                    clock += exposed
-                continue
-            # Straddling load (element sizes that divide the line size
-            # never take this path; kept for exactness).
-            ready = clock
-            level = "L1"
-            for line in range(line, lines_last[a] + 1):
-                if clock >= next_completion:
-                    drain(clock)
-                ways = l1_sets[line % l1_n]
-                if ways.pop(line, 0) is None:
-                    ways[line] = None
-                    l1_hits += 1
-                    line_ready = clock + l1_latency
-                    line_level = "L1"
-                    loads_l1 += 1
-                else:
-                    l1_misses += 1
-                    request = in_flight_get(line)
-                    if request is not None:
-                        request.non_temporal = False
-                        request.is_prefetch = False
-                        completion = request.completion_cycle
-                        line_ready = completion if completion > clock else clock
-                        line_level = "LFB"
-                        loads_lfb += 1
-                    else:
-                        line_ready, line_level, stall = start_fill(
-                            line, clock, False, False
-                        )
-                        if stall:
-                            memory_stall += stall
-                            lfb_stall += stall
-                            memory_slots += issue_width * stall
-                            clock += stall
-                        if line_level == "L2":
-                            loads_l2 += 1
-                        elif line_level == "L3":
-                            loads_l3 += 1
-                        else:
-                            loads_dram += 1
-                if line_ready >= ready:
-                    ready = line_ready
-                    level = line_level
-            exposed = ready - clock - ooo_hide
-            if exposed > 0:
-                memory_stall += exposed
-                memory_slots += issue_width * exposed
-                clock += exposed
-        elif op == 2:  # software prefetch (PREFETCHNTA)
-            vpn = vpns[a]
-            dtlb_ways = dtlb_sets[vpn % dtlb_n]
-            if dtlb_ways.pop(vpn, 0) is None:
-                dtlb_ways[vpn] = None
-                dtlb_hits += 1
-            else:
-                clock = translate_slow(vpn, clock)
-            # The prefetch instruction's own issue slot (statically
-            # accounted in ``totals``; only the clock moves here).
-            clock += prefetch_advance
-            line = lines_first[a]
-            last = lines_last[a]
-            while True:
-                if clock >= next_completion:
-                    drain(clock)
-                prefetch_count += 1
-                # Membership checks only: no LRU reorder, no hit/miss
-                # counting (MemorySystem.prefetch_line uses contains/find).
-                if line in l1_sets[line % l1_n] or line in in_flight:
-                    prefetch_useless += 1
-                else:
-                    _completion, _source, stall = start_fill(line, clock, True, True)
-                    if stall:
-                        memory_stall += stall
-                        lfb_stall += stall
-                        memory_slots += issue_width * stall
-                        clock += stall
-                if line == last:
-                    break
-                line += 1
-        # op == 0: trailing pure-compute row, handled above.
-
-    # One write-back: every deferred delta lands on the live objects.
-    engine.clock = clock
-    tmam = engine.tmam
-    tmam.cycles += clock - entry_clock
-    instructions_total, core_slots_total = totals
-    tmam.instructions += instructions_total
-    slots = tmam.slots
-    slots["Retiring"] += instructions_total
-    slots["Core"] += core_slots_total
-    slots["Memory"] += memory_slots
-    tmam.memory_stall_cycles += memory_stall
-    tmam.translation_stall_cycles += translation_stall
-    tmam.lfb_stall_cycles += lfb_stall
-    mem_stats = memory.stats
-    by_level = mem_stats.loads_by_level
-    by_level["L1"] += loads_l1
-    by_level["LFB"] += loads_lfb
-    by_level["L2"] += loads_l2
-    by_level["L3"] += loads_l3
-    by_level["DRAM"] += loads_dram
-    mem_stats.prefetches += prefetch_count
-    mem_stats.prefetch_useless += prefetch_useless
-    tlb_stats = tlb.stats
-    tlb_stats.dtlb_hits += dtlb_hits
-    tlb_stats.stlb_hits += stlb_hits
-    tlb_stats.walk_cycles += walk_cycles_delta
-    l1.stats.hits += l1_hits
-    l1.stats.misses += l1_misses
-    l1.stats.installs += l1_installs
-    l1.stats.evictions += l1_evictions
-    l2.stats.hits += l2_hits
-    l2.stats.misses += l2_misses
-    l2.stats.installs += l2_installs
-    l2.stats.evictions += l2_evictions
-    l3.stats.hits += l3_hits
-    l3.stats.misses += l3_misses
-    l3.stats.installs += l3_installs
-    l3.stats.evictions += l3_evictions
-    lfbs.fills_issued += fills_issued
-    lfbs.issue_stall_cycles += acquire_stall
-    lfbs.peak_occupancy = peak_occupancy
-    lfbs._next_completion = next_completion
-    return results
-
-
-# ----------------------------------------------------------------------
-# Stage 2: machine-specialized replay loops
+# Replay: machine-specialized loops
 # ----------------------------------------------------------------------
 #
-# ``_replay_generic`` interprets a staged schedule with the machine
-# parameters held in locals and closures. The second staging level goes
-# further: for a fixed machine geometry (cache/TLB shapes, latencies,
-# LFB capacity) every parameter is a *constant*, so we generate the
-# replay loop's source with those constants folded in as literals and
-# every helper (drain, fill start, page walk) inlined — no closure
+# For a fixed machine geometry (cache/TLB shapes, latencies, LFB
+# capacity) every parameter of the replay is a *constant*, so the replay
+# loop's source is generated with those constants folded in as literals
+# and every helper (drain, fill start, page walk) inlined — no closure
 # cells, no call overhead, branches on constants eliminated at
 # generation time. The source is compiled once with ``exec`` and
-# memoized per geometry signature. ``_replay_generic`` remains the
-# exact reference and the fallback for line-straddling accesses
-# (element sizes that do not divide the cache line).
+# memoized per geometry signature. Every access touches exactly one
+# cache line: layouts that can straddle take the generator fallback.
 
 _IMPL_CACHE: dict = {}
 
@@ -1465,19 +931,14 @@ def _specialized_impl(engine: ExecutionEngine):
     return impl
 
 
-def _replay(engine: ExecutionEngine, rows: list, totals: tuple, addresses: list,
-            element_size: int, results: list) -> list:
-    """Replay a staged schedule: specialized loop, generic fallback."""
+def _replay(
+    engine: ExecutionEngine, rows: list, totals: tuple, addresses: list
+) -> None:
+    """Replay a staged schedule through the geometry's specialized loop."""
     memory = engine.memory
     line_size = memory.line_size
     addresses_np = np.asarray(addresses, dtype=np.int64)
     lines_np = addresses_np // line_size
-    if element_size > 1 and bool(
-        (((addresses_np + (element_size - 1)) // line_size) != lines_np).any()
-    ):
-        # Line-straddling accesses: the specialized loop does not emit
-        # the multi-line paths; use the reference interpreter.
-        return _replay_generic(engine, rows, totals, addresses, element_size, results)
     tlb = memory.tlb
     vpns_np = addresses_np // tlb._page_size
     pte_lines = ((PAGE_TABLE_BASE + vpns_np * PTE_SIZE) // line_size).tolist()
@@ -1554,111 +1015,58 @@ def _replay(engine: ExecutionEngine, rows: list, totals: tuple, addresses: list,
     lfbs.issue_stall_cycles += acquire_stall
     lfbs.peak_occupancy = peak_occupancy
     lfbs._next_completion = next_completion
+
+
+# ----------------------------------------------------------------------
+# The executor hook
+# ----------------------------------------------------------------------
+
+
+def replay_staged(executor, tasks: BulkLookup, engine: ExecutionEngine,
+                  group_size: int) -> list | None:
+    """Run ``tasks`` by replaying ``executor``'s staged schedule.
+
+    Returns the results, or ``None`` — with the reason counted — when
+    the shape does not compile and the caller must run its generator
+    scheduler instead.
+    """
+    if not tasks.inputs:
+        return []  # every generator scheduler returns [] event-free
+    reason = _fallback_reason(tasks, engine)
+    if reason is not None:
+        _count_fallback(executor.name, reason)
+        return None
+    table = tasks.target
+    depth = search_depth(table.size)
+    _validate_staging(executor, group_size, engine.arch)
+    costs = tasks.costs.for_table(table)
+    rows, totals = _schedule_rows(
+        executor.schedule,
+        len(tasks.inputs),
+        depth,
+        group_size,
+        (costs.iter_cycles, costs.iter_instructions),
+        engine.cost,
+    )
+    started = perf_counter()
+    addresses, results = _probe_addresses(table, tasks.inputs, depth)
+    _replay(engine, rows, totals, addresses)
+    _STATS["replay_s"] += perf_counter() - started
+    _STATS["replays"] += 1
     return results
 
 
-# ----------------------------------------------------------------------
-# The compiled executor twins
-# ----------------------------------------------------------------------
-
-
-class _CompiledExecutor(_ExecutorBase):
-    """Shared twin plumbing: compile when possible, else counted fallback."""
-
-    #: Schedule-builder key (see :data:`_OPS_BUILDERS`).
-    technique = "?"
-    #: Registry key of the generator twin (fallback target).
-    generator_name = "?"
-
-    def _run(self, tasks, engine, group_size):
-        if not tasks.inputs:
-            return []  # every generator scheduler returns [] event-free
-        reason = self._fallback_reason(tasks, engine)
-        if reason is not None:
-            _count_fallback(self.name, reason)
-            return get_executor(self.generator_name)._run(tasks, engine, group_size)
-        table = tasks.target
-        depth = search_depth(table.size)
-        _validate_staging(self.technique, group_size, engine.arch)
-        costs = tasks.costs.for_table(table)
-        rows, totals = _schedule_rows(
-            self.technique,
-            len(tasks.inputs),
-            depth,
-            group_size,
-            (costs.iter_cycles, costs.iter_instructions),
-            engine.cost,
-        )
-        started = perf_counter()
-        addresses, results = _probe_addresses(table, tasks.inputs, depth)
-        out = _replay(engine, rows, totals, addresses, table.element_size, results)
-        _STATS["replay_s"] += perf_counter() - started
-        _STATS["replays"] += 1
-        return out
-
-    def _fallback_reason(self, tasks, engine) -> str | None:
-        if tasks.kind != SORTED_ARRAY:
-            return "workload_kind"
-        if engine.tracer.enabled:
-            return "tracer"
-        if type(engine) is not ExecutionEngine:
-            return "engine_subclass"
-        if search_depth(tasks.target.size) < 1:
-            return "shallow_table"
-        return None
-
-
-@register_executor
-class CompiledBaselineExecutor(_CompiledExecutor):
-    """``Baseline`` replayed through the staged-schedule engine path."""
-
-    name = "Baseline-compiled"
-    technique = "baseline"
-    generator_name = "Baseline"
-    workload_kinds = (SORTED_ARRAY,)
-
-
-@register_executor
-class CompiledGpExecutor(_CompiledExecutor):
-    """``GP`` replayed through the staged-schedule engine path."""
-
-    name = "GP-compiled"
-    technique = "gp"
-    generator_name = "GP"
-    workload_kinds = (SORTED_ARRAY,)
-    default_group_size = 10
-    switch_kind = "gp"
-
-
-@register_executor
-class CompiledAmacExecutor(_CompiledExecutor):
-    """``AMAC`` replayed through the staged-schedule engine path."""
-
-    name = "AMAC-compiled"
-    technique = "amac"
-    generator_name = "AMAC"
-    workload_kinds = (SORTED_ARRAY, CSB_TREE, HASH_PROBE)
-    default_group_size = 6
-    switch_kind = "amac"
-
-
-@register_executor(aliases=("interleaved-compiled",))
-class CompiledCoroExecutor(_CompiledExecutor):
-    """``CORO`` replayed through the staged-schedule engine path."""
-
-    name = "CORO-compiled"
-    technique = "coro"
-    generator_name = "CORO"
-    workload_kinds = WORKLOAD_KINDS
-    default_group_size = 6
-    switch_kind = "coro"
-
-
-@register_executor
-class CompiledSequentialExecutor(_CompiledExecutor):
-    """``sequential`` replayed through the staged-schedule engine path."""
-
-    name = "sequential-compiled"
-    technique = "sequential"
-    generator_name = "sequential"
-    workload_kinds = WORKLOAD_KINDS
+def _fallback_reason(tasks: BulkLookup, engine: ExecutionEngine) -> str | None:
+    if tasks.kind != SORTED_ARRAY:
+        return "workload_kind"
+    if engine.tracer.enabled:
+        return "tracer"
+    if type(engine) is not ExecutionEngine:
+        return "engine_subclass"
+    table = tasks.target
+    if search_depth(table.size) < 1:
+        return "shallow_table"
+    element_size = table.element_size
+    if engine.memory.line_size % element_size or table.region.base % element_size:
+        return "line_straddle"
+    return None

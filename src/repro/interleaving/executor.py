@@ -33,11 +33,19 @@ points charge — the golden-number regression test pins cycles/search
 for all five paper techniques across this refactor — and when a span
 recorder is attached, each run is wrapped in an ``executor`` span whose
 attributes carry the executor name and workload kind.
+
+There is one engine per technique. Techniques with a staged schedule
+(``Baseline``, ``GP``, ``AMAC``, ``CORO``, ``sequential``) replay it
+through :mod:`repro.interleaving.compiled` whenever the shape compiles,
+and run their generator scheduler otherwise (a counted fallback). The
+generator schedulers are the reference oracle: :func:`generator_oracle`
+is the one entry point that runs them unconditionally.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import copy
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Protocol, Sequence, runtime_checkable
 
 from repro.errors import SchedulerError, WorkloadError
@@ -73,6 +81,7 @@ __all__ = [
     "EXECUTOR_REGISTRY",
     "register_executor",
     "get_executor",
+    "generator_oracle",
     "executor_names",
     "paper_techniques",
     "executors_supporting",
@@ -220,6 +229,20 @@ def get_executor(name: str) -> Executor:
     return executor
 
 
+def generator_oracle(name: str) -> Executor:
+    """The reference oracle for technique ``name``: its generator scheduler.
+
+    Registry executors replay a staged schedule whenever the shape
+    compiles; the oracle is a copy of the same executor (same name,
+    group-size default and support set) that always drives the live
+    coroutine/state-machine scheduler instead. Equivalence tests compare
+    the two; nothing else should need it.
+    """
+    oracle = copy.copy(get_executor(name))
+    oracle.schedule = None
+    return oracle
+
+
 def executor_names() -> list[str]:
     """Canonical executor names, in registration (paper) order."""
     seen: list[str] = []
@@ -305,6 +328,9 @@ class _ExecutorBase:
     default_group_size = 1
     #: Key into the architecture cost model for this technique's switch.
     switch_kind: str | None = None
+    #: Staged-schedule builder (see :mod:`repro.interleaving.compiled`),
+    #: or ``None`` for techniques that only run their generator scheduler.
+    schedule: str | None = None
 
     def supports(self, workload_kind: str) -> bool:
         return workload_kind in self.workload_kinds
@@ -349,6 +375,18 @@ class _ExecutorBase:
     def _run(
         self, tasks: BulkLookup, engine: ExecutionEngine, group_size: int
     ) -> list:
+        if self.schedule is not None:
+            # Imported here: the staging module builds on this one.
+            from repro.interleaving.compiled import replay_staged
+
+            results = replay_staged(self, tasks, engine, group_size)
+            if results is not None:
+                return results
+        return self._run_generators(tasks, engine, group_size)
+
+    def _run_generators(
+        self, tasks: BulkLookup, engine: ExecutionEngine, group_size: int
+    ) -> list:
         raise NotImplementedError  # pragma: no cover
 
 
@@ -384,7 +422,7 @@ class StdExecutor(_ExecutorBase):
     workload_kinds = (SORTED_ARRAY,)
     paper_technique = True
 
-    def _run(self, tasks, engine, group_size):
+    def _run_generators(self, tasks, engine, group_size):
         table, costs = tasks.target, tasks.costs
         return run_sequential(
             engine,
@@ -400,8 +438,9 @@ class BaselineExecutor(_ExecutorBase):
     name = "Baseline"
     workload_kinds = (SORTED_ARRAY,)
     paper_technique = True
+    schedule = "baseline"
 
-    def _run(self, tasks, engine, group_size):
+    def _run_generators(self, tasks, engine, group_size):
         table, costs = tasks.target, tasks.costs
         return run_sequential(
             engine,
@@ -419,8 +458,9 @@ class GpExecutor(_ExecutorBase):
     paper_technique = True
     default_group_size = 10  # Inequality-1 estimate, LFB-capped (12 -> 10)
     switch_kind = "gp"
+    schedule = "gp"
 
-    def _run(self, tasks, engine, group_size):
+    def _run_generators(self, tasks, engine, group_size):
         return gp_binary_search_bulk(
             engine, tasks.target, tasks.inputs, group_size, tasks.costs
         )
@@ -435,6 +475,7 @@ class AmacExecutor(_ExecutorBase):
     paper_technique = True
     default_group_size = 6
     switch_kind = "amac"
+    schedule = "amac"
 
     def _machine_factory(self, tasks: BulkLookup) -> Callable[[], object]:
         if tasks.kind == SORTED_ARRAY:
@@ -443,7 +484,7 @@ class AmacExecutor(_ExecutorBase):
             return lambda: CsbLookupMachine(tasks.target, tasks.costs)
         return lambda: HashProbeMachine(tasks.target)
 
-    def _run(self, tasks, engine, group_size):
+    def _run_generators(self, tasks, engine, group_size):
         return amac_run_bulk(
             engine, self._machine_factory(tasks), tasks.inputs, group_size
         )
@@ -455,7 +496,9 @@ class CoroExecutor(_ExecutorBase):
 
     Instantiate directly (off-registry) to run the paper's ablations:
     ``CoroExecutor(recycle_frames=False)`` disables frame recycling,
-    ``switch_kind`` overrides the charged switch cost.
+    ``switch_kind`` overrides the charged switch cost. The staged
+    schedule models the registry configuration only, so ablation
+    instances always run the generator scheduler.
     """
 
     name = "CORO"
@@ -474,8 +517,10 @@ class CoroExecutor(_ExecutorBase):
         self._recycle_frames = recycle_frames
         self.switch_kind = switch_kind
         self._frame_pool = frame_pool
+        stock = recycle_frames and switch_kind == "coro" and frame_pool is None
+        self.schedule = "coro" if stock else None
 
-    def _run(self, tasks, engine, group_size):
+    def _run_generators(self, tasks, engine, group_size):
         return run_interleaved(
             engine,
             _stream_factory(tasks),
@@ -496,7 +541,7 @@ class SppExecutor(_ExecutorBase):
     default_group_size = 10
     switch_kind = "gp"
 
-    def _run(self, tasks, engine, group_size):
+    def _run_generators(self, tasks, engine, group_size):
         return spp_binary_search_bulk(
             engine, tasks.target, tasks.inputs, group_size, tasks.costs
         )
@@ -515,8 +560,9 @@ class SequentialExecutor(_ExecutorBase):
 
     name = "sequential"
     workload_kinds = WORKLOAD_KINDS
+    schedule = "sequential"
 
-    def _run(self, tasks, engine, group_size):
+    def _run_generators(self, tasks, engine, group_size):
         return run_sequential(engine, _stream_factory(tasks), tasks.inputs)
 
 

@@ -22,6 +22,7 @@ the machine-readable artifacts can never disagree.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Mapping
 
 from repro.errors import SimulationError
@@ -154,7 +155,9 @@ class MetricsRegistry:
 
         Re-registering a name replaces the source — a fresh engine
         measuring over a shared, pre-warmed memory system re-mounts that
-        memory's stats under its own registry.
+        memory's stats under its own registry. A
+        :class:`weakref.WeakMethod` source does not keep its owner alive;
+        once the owner is collected the source drops out of snapshots.
         """
         if name in self._instruments:
             raise SimulationError(f"source {name!r} shadows a registered metric")
@@ -176,6 +179,10 @@ class MetricsRegistry:
                 value = instrument.as_dict()
             _mount(tree, name, value)
         for name, source in self._sources.items():
+            if isinstance(source, weakref.WeakMethod):
+                source = source()
+                if source is None:
+                    continue
             _mount(tree, name, _plain(source()))
         return tree
 

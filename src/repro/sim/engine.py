@@ -25,6 +25,7 @@ switch overhead via :meth:`ExecutionEngine.charge_switch`.
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
 from typing import Generator, Iterable
 
@@ -83,19 +84,27 @@ class ExecutionEngine:
         self.tracer = tracer if tracer is not None else NULL_RECORDER
         #: Unified metrics registry covering engine, TMAM, and memory stats.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.metrics.register_source("engine", self._engine_metrics)
+        # Held weakly (and the handlers below are plain functions):
+        # nothing the engine owns points back at it, so a dropped engine
+        # and its cache state are freed by reference counting, not by
+        # the cyclic GC.
+        self.metrics.register_source(
+            "engine", weakref.WeakMethod(self._engine_metrics)
+        )
         self.tmam.register_metrics(self.metrics)
         self.memory.register_metrics(self.metrics)
         # Type-keyed event dispatch: one dict probe replaces the
         # per-event ``type(event) is ...`` chain on the hottest loop in
-        # the simulator. Every handler takes (event, ctx) and returns
-        # the event's outcome.
+        # the simulator. Handlers are the class's plain functions
+        # (subclass overrides included), called as
+        # ``handler(engine, event, ctx)``; they return the event's outcome.
+        cls = type(self)
         self._handlers = {
-            Load: self.execute_load,
-            Compute: self._handle_compute,
-            Store: self._handle_store,
-            Prefetch: self._handle_prefetch,
-            FrameAlloc: self._handle_frame_alloc,
+            Load: cls.execute_load,
+            Compute: cls._handle_compute,
+            Store: cls._handle_store,
+            Prefetch: cls._handle_prefetch,
+            FrameAlloc: cls._handle_frame_alloc,
         }
 
     def _engine_metrics(self) -> dict:
@@ -370,7 +379,7 @@ class ExecutionEngine:
         handler = self._handlers.get(type(event))
         if handler is None:
             self._dispatch_unknown(event)
-        return handler(event, ctx)
+        return handler(self, event, ctx)
 
     def run(self, stream: InstructionStream, ctx: StreamContext | None = None):
         """Drive a non-suspending stream to completion; return its result."""
@@ -386,7 +395,7 @@ class ExecutionEngine:
                 handler = handlers.get(type(event))
                 if handler is None:
                     self._dispatch_unknown(event)
-                outcome = handler(event, ctx)
+                outcome = handler(self, event, ctx)
         except StopIteration as stop:
             return stop.value
 

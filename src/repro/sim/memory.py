@@ -17,6 +17,8 @@ level between the source and L1.
 
 from __future__ import annotations
 
+import functools
+import weakref
 from dataclasses import dataclass, field
 
 from repro.config import ArchSpec
@@ -87,6 +89,17 @@ class MemoryStats:
         return diff
 
 
+def _weakly(method):
+    """``method`` as a callable that does not keep its owner alive.
+
+    The fill buffers and the TLB call back into their memory system;
+    strong bound methods would make every memory system a reference
+    cycle that only the cyclic garbage collector can free. A partial
+    over a weak proxy keeps the call in C (no Python-level wrapper).
+    """
+    return functools.partial(method.__func__, weakref.proxy(method.__self__))
+
+
 class MemorySystem:
     """L1D/L2/L3 caches, line-fill buffers, and TLB behind one interface."""
 
@@ -96,8 +109,12 @@ class MemorySystem:
         self.l1 = SetAssociativeCache(arch.l1d, arch.line_size)
         self.l2 = SetAssociativeCache(arch.l2, arch.line_size)
         self.l3 = SetAssociativeCache(arch.l3, arch.line_size)
-        self.lfbs = LineFillBuffers(arch.n_line_fill_buffers, self._complete_fill)
-        self.tlb = Tlb(arch.dtlb, arch.stlb, arch.page_size, arch.cost, self._pte_probe)
+        self.lfbs = LineFillBuffers(
+            arch.n_line_fill_buffers, _weakly(self._complete_fill)
+        )
+        self.tlb = Tlb(
+            arch.dtlb, arch.stlb, arch.page_size, arch.cost, _weakly(self._pte_probe)
+        )
         self.stats = MemoryStats()
         #: Extra cycles added to every DRAM access (0 = local socket).
         #: Raised by the NUMA ablation to model remote-socket memory.
