@@ -32,8 +32,8 @@ import statistics
 
 import pytest
 
-from repro.cluster import render_cluster_doc, run_cluster_scenario
-from repro.service import get_scenario
+from repro.cluster import render_cluster_doc
+from repro.service import get_scenario, run_scenario
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 SCENARIO = "planet-quick"
@@ -57,7 +57,7 @@ def _point(doc: dict, technique: str, load: float) -> dict:
 
 @pytest.fixture(scope="module")
 def cluster_sweep():
-    doc = run_cluster_scenario(SCENARIO, seed=0)
+    doc = run_scenario(SCENARIO, seed=0)
     RESULTS_DIR.mkdir(exist_ok=True)
     artifact = RESULTS_DIR / "BENCH_cluster.json"
     artifact.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -70,8 +70,8 @@ def degradation_runs():
     scenario = dataclasses.replace(get_scenario(SCENARIO), loads=(CLAIM_LOAD,))
     return [
         (
-            run_cluster_scenario(scenario, seed=seed, faults="none"),
-            run_cluster_scenario(scenario, seed=seed),
+            run_scenario(scenario, seed=seed, faults="none"),
+            run_scenario(scenario, seed=seed),
         )
         for seed in DEGRADATION_SEEDS
     ]

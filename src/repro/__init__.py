@@ -23,10 +23,11 @@ Layers (bottom-up):
   around a streaming ``IndexJoin`` that probes inner indexes through
   the executor registry with bounded task/match buffers.
 * :mod:`repro.service` — the online serving layer: simulated-time
-  arrivals, admission control, request coalescing, SLO accounting.
-* :mod:`repro.cluster` — the serving layer scaled out: routed nodes
-  with tiered interconnects, R-way replicated consistent hashing,
-  node-level chaos, and the ``planet`` scenario family.
+  arrivals, admission control, request coalescing, SLO accounting; one
+  server for one node or a routed fleet (the ``planet`` scenarios).
+* :mod:`repro.cluster` — what only matters with several nodes: tiered
+  interconnects, R-way replicated consistent hashing, user-population
+  keys and home nodes.
 * :mod:`repro.workloads` / :mod:`repro.analysis` — workload generation,
   measurement harness, reporting, Table-5 LoC analysis.
 
@@ -39,8 +40,8 @@ Layers (bottom-up):
   from the exported signals, every decision a cycle-stamped event.
 * :mod:`repro.scenario` — the declarative scenario DSL: versioned
   ``repro.scenario/1`` JSON/YAML documents parsed into a frozen
-  :class:`~repro.scenario.ScenarioSpec` that unifies the service,
-  cluster, and SLO config surfaces (``file:scenario.yaml`` works
+  :class:`~repro.scenario.ScenarioSpec` whose ``kind`` (service or
+  cluster) is the one multi-node decision (``file:scenario.yaml`` works
   wherever a registry name does).
 * :mod:`repro.api` — the stable facade: :func:`~repro.api.
   run_experiment`, :func:`~repro.api.serve`, :func:`~repro.api.
@@ -59,8 +60,6 @@ Quick start::
 The deep modules stay public — ``run_interleaved``, the executor
 registry, the serving server — for anything the facade doesn't cover.
 """
-
-import warnings as _warnings
 
 from repro.config import HASWELL, ArchSpec, CacheSpec, CostModel, TlbSpec, scaled
 from repro.errors import (
@@ -144,13 +143,7 @@ from repro.service import (
     get_scenario,
     scenario_names,
 )
-from repro.cluster import (
-    ClusterConfig,
-    ClusterReport,
-    ClusterScenario,
-    ClusterServer,
-    ClusterTopology,
-)
+from repro.cluster import ClusterTopology
 from repro.sim import AddressSpaceAllocator, ExecutionEngine, MemorySystem
 from repro import api
 from repro.api import (
@@ -167,7 +160,6 @@ from repro.api import (
     run_experiment,
     run_plan,
     serve,
-    serve_cluster,
 )
 from repro.faults import (
     FAULT_KINDS,
@@ -183,28 +175,6 @@ from repro.scenario import (
     resolve_scenario,
     resolve_spec,
 )
-
-#: Names still importable from the package root but superseded by the
-#: :mod:`repro.api` facade: accessing one emits a DeprecationWarning
-#: pointing at its replacement, then resolves to the old object.
-_DEPRECATED_ALIASES = {
-    "run_scenario": ("repro.service", "run_scenario", "repro.api.serve"),
-}
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_ALIASES:
-        module_name, attr, replacement = _DEPRECATED_ALIASES[name]
-        _warnings.warn(
-            f"repro.{name} is deprecated; use {replacement} instead "
-            f"(or import it from {module_name} directly)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        import importlib
-
-        return getattr(importlib.import_module(module_name), attr)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
 
 __version__ = "1.0.0"
 
@@ -286,18 +256,12 @@ __all__ = [
     "ServiceReport",
     "ServiceServer",
     "get_scenario",
-    "run_scenario",
     "scenario_names",
-    "ClusterConfig",
-    "ClusterReport",
-    "ClusterScenario",
-    "ClusterServer",
     "ClusterTopology",
     "api",
     "ExperimentResult",
     "ServeResult",
     "ClusterServeResult",
-    "serve_cluster",
     "ExplainResult",
     "LookupResult",
     "FaultInjectionResult",

@@ -230,17 +230,15 @@ def _list_text() -> int:
         print(f"  {kind}")
     print()
     print("scenarios (python -m repro serve <name>):")
-    from repro.cluster.scenarios import ClusterScenario
-
     for scenario in SCENARIO_REGISTRY.values():
         techniques = "/".join(scenario.techniques)
         chaos = (
             f" faults={scenario.fault_profile}" if scenario.fault_profile else ""
         )
         shape = ""
-        if isinstance(scenario, ClusterScenario):
+        if scenario.kind == "cluster":
             shape = (
-                f" nodes={scenario.n_nodes} R={scenario.replication}"
+                f" nodes={scenario.config.n_nodes} R={scenario.config.replication}"
                 f" users={scenario.n_users:,}"
             )
         print(

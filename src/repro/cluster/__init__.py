@@ -1,8 +1,9 @@
-"""repro.cluster: a simulated multi-node cluster over the serving stack.
+"""repro.cluster: what is truly about clusters in the serving stack.
 
-The serving layer (:mod:`repro.service`) models one machine: shards over
-one shared LLC, one admission queue, one fault injector. This package
-scales that machine out without changing its physics:
+The server itself is one: :class:`~repro.service.server.ServiceServer`
+runs ``n_nodes`` memory domains, and a single machine is just the
+``n_nodes == 1`` case. This package holds the pieces that only matter
+once there are several nodes:
 
 - :mod:`repro.cluster.topology` — nodes with private memory domains and
   tiered interconnect costs (local / NUMA-remote / CXL-style), plus the
@@ -10,33 +11,21 @@ scales that machine out without changing its physics:
 - :mod:`repro.cluster.routing` — consistent-hash key ownership with
   R-way replication and a router that splits coalesced batches by
   owning node.
-- :mod:`repro.cluster.server` — :class:`ClusterServer`, a
-  :class:`~repro.service.server.ServiceServer` subclass that dispatches
-  per-node groups, hedges across replicas, lowers whole-node faults
-  (``node_crash`` / ``node_slow``) onto the node's shards, and charges
-  interconnect cycles when an answer crosses domains. With one node,
-  replication 1, and zero interconnect cost it is bit-identical to the
-  single-node server per same-seed run — the degenerate-identity
-  contract the tests pin.
-- :mod:`repro.cluster.scenarios` / :mod:`repro.cluster.loadgen` — the
-  ``planet`` scenario family (millions of simulated users on diurnal,
-  region-rotating arrivals) and the sweep that emits ``repro.cluster/1``
-  documents.
+- :mod:`repro.cluster.loadgen` — the user-population keys and home-node
+  mapping ``kind: cluster`` scenarios serve with, and the renderer of
+  their ``repro.cluster/1`` documents.
 
-Importing this package registers the cluster scenarios in the shared
-scenario registry, so the CLI, the facade, and the benchmarks see them.
+The planet scenarios are registered with the other built-ins in
+:mod:`repro.service.scenarios`.
 """
 
 from repro.cluster.loadgen import (
     CLUSTER_SCHEMA,
-    measure_cluster_point,
+    home_nodes,
     render_cluster_doc,
-    run_cluster_scenario,
-    run_traced_cluster_scenario,
+    user_keys,
 )
 from repro.cluster.routing import ClusterRouter, HashRing
-from repro.cluster.scenarios import ClusterScenario
-from repro.cluster.server import ClusterConfig, ClusterReport, ClusterServer
 from repro.cluster.topology import (
     FREE_INTERCONNECT,
     INTERCONNECT_TIERS,
@@ -50,16 +39,11 @@ __all__ = [
     "FREE_INTERCONNECT",
     "INTERCONNECT_TIERS",
     "TOPOLOGY_PRESETS",
-    "ClusterConfig",
-    "ClusterReport",
     "ClusterRouter",
-    "ClusterScenario",
-    "ClusterServer",
     "ClusterTopology",
     "HashRing",
     "InterconnectCosts",
-    "measure_cluster_point",
+    "home_nodes",
     "render_cluster_doc",
-    "run_cluster_scenario",
-    "run_traced_cluster_scenario",
+    "user_keys",
 ]

@@ -1,26 +1,12 @@
-"""Cluster load generation: sweep a planet into a ``repro.cluster/1`` doc.
+"""Cluster load generation helpers: user keys, home nodes, rendering.
 
-Mirrors :mod:`repro.service.loadgen` one level up: for each (technique,
-load) point it builds the seeded arrival process, draws every probe key
-from a *user population* (``n_users`` simulated users, each owning a
-stable key — blake2b-mixed so the population spreads over the table and
-over the hash ring deterministically), maps arrival regions onto home
-nodes, runs a fresh :class:`~repro.cluster.server.ClusterServer`, and
-flattens the :class:`~repro.cluster.server.ClusterReport` into a point
-dict. Points carry everything a ``repro.service/1`` point does plus the
-cluster's own accounting — per-node batch/completion counters (which
-must sum to the totals; the schema checker enforces it), interconnect
-crossings by tier, and cycles charged to answer movement.
-
-Offered load is calibrated against the *whole cluster's* sequential
-capacity (``n_nodes * n_shards`` sequential shards), so ``x2.0`` means
-twice what the entire unreplicated sequential fleet could sustain —
-the same axis convention as the single-node documents.
-
-``run_scenario`` / ``run_traced_scenario`` in the service loadgen
-delegate here for :class:`~repro.cluster.scenarios.ClusterScenario`
-inputs, so every existing entry point (CLI, facade, benchmarks) speaks
-cluster without special-casing.
+The serving sweep (:mod:`repro.service.loadgen`) runs every scenario
+kind; for ``kind: cluster`` scenarios it draws each probe key from a
+*user population* (``n_users`` simulated users, each owning a stable
+key — blake2b-mixed so the population spreads over the table and over
+the hash ring deterministically) and maps arrival regions onto home
+nodes with the helpers here. :func:`render_cluster_doc` renders the
+resulting ``repro.cluster/1`` document.
 """
 
 from __future__ import annotations
@@ -29,35 +15,10 @@ import hashlib
 
 import numpy as np
 
-from repro.control import CONTROL_SCHEMA
-from repro.errors import WorkloadError
-from repro.faults.schedule import FaultProfile, FaultSchedule, resolve_schedule
-from repro.obs.rtrace import RequestTracer
-from repro.perf import Task, default_runner
-from repro.service.arrivals import make_arrivals
-from repro.service.loadgen import (
-    _arch_for,
-    _arrival_params,
-    _chaos_point,
-    _fault_name,
-    _point,
-    _replace_config,
-    _resolve_ref,
-    _slo_record,
-    fault_horizon,
-    sequential_capacity,
-)
-from repro.sim.allocator import AddressSpaceAllocator
-from repro.cluster.scenarios import ClusterScenario
-from repro.cluster.server import ClusterReport, ClusterServer
-from repro.workloads.generators import make_table
-
 __all__ = [
     "CLUSTER_SCHEMA",
     "user_keys",
     "home_nodes",
-    "measure_cluster_point",
-    "run_cluster_scenario",
     "render_cluster_doc",
 ]
 
@@ -65,7 +26,7 @@ __all__ = [
 CLUSTER_SCHEMA = "repro.cluster/1"
 
 
-def user_keys(scenario: ClusterScenario, table_size: int, seed: int) -> list[int]:
+def user_keys(scenario, table_size: int, seed: int) -> list[int]:
     """One probe key per request, drawn through the user population.
 
     Each arrival is a uniformly-drawn user out of ``n_users``; each
@@ -84,7 +45,7 @@ def user_keys(scenario: ClusterScenario, table_size: int, seed: int) -> list[int
     return keys
 
 
-def home_nodes(scenario: ClusterScenario, topology, arrivals) -> list[int]:
+def home_nodes(scenario, topology, arrivals) -> list[int]:
     """The home node of each request, from the arrival region stream.
 
     Diurnal arrivals carry a region per arrival; arrival regions map
@@ -105,214 +66,6 @@ def home_nodes(scenario: ClusterScenario, topology, arrivals) -> list[int]:
             group = range(topology.n_nodes)
         homes.append(group[index % len(group)])
     return homes
-
-
-def _cluster_point(report: ClusterReport) -> dict:
-    """The extra per-point fields of ``repro.cluster/1``."""
-    return {
-        "node_batches": report.node_batches(),
-        "node_completed": report.node_completed(),
-        "crossings": report.crossings(),
-        "interconnect_cycles": report.interconnect_cycles,
-        "cross_node_hedges": report.cross_node_hedges,
-    }
-
-
-def measure_cluster_point(
-    scenario: ClusterScenario,
-    technique: str,
-    multiplier: float,
-    seed: int,
-    faults,
-    capacity: float,
-    trace: bool = False,
-) -> dict:
-    """Run one (technique, load) cluster point; picklable sweep-point fn.
-
-    The fault schedule resolves at **node scope** — its ``n_shards``
-    argument is the node count, so ``cluster-chaos`` draws whole-node
-    events; the server lowers them onto the node's shard range. Every
-    technique at the same load multiplier replays the identical
-    schedule, exactly as in the single-node sweeps.
-    """
-    arch = _arch_for(scenario)
-    allocator = AddressSpaceAllocator(page_size=arch.page_size)
-    table = make_table(allocator, "serve/dict", scenario.table_bytes)
-    values = user_keys(scenario, table.size, seed)
-    config = scenario.config
-    if technique.lower() in ("sequential", "std", "baseline"):
-        config = _replace_config(config, technique=technique, group_size=1)
-    else:
-        config = _replace_config(config, technique=technique)
-    rate = multiplier * capacity
-    arrivals = make_arrivals(
-        scenario.arrival_kind,
-        scenario.n_requests,
-        seed,
-        **_arrival_params(scenario, rate),
-    )
-    schedule = resolve_schedule(
-        faults,
-        horizon=fault_horizon(scenario.n_requests, rate),
-        n_shards=scenario.n_nodes,
-        seed=seed,
-    )
-    topology = scenario.topology()
-    tracer = RequestTracer() if trace else None
-    server = ClusterServer(
-        table,
-        config,
-        arch=arch,
-        seed=seed,
-        faults=schedule,
-        topology=topology,
-        **({"tracer": tracer} if tracer is not None else {}),
-    )
-    homes = home_nodes(scenario, topology, arrivals)
-    report = server.serve(arrivals, values, homes=homes)
-    point = _point(report, multiplier, rate)
-    chaos = schedule is not None
-    if chaos:
-        point.update(_chaos_point(report, schedule))
-    point.update(_cluster_point(report))
-    if report.control is not None:
-        point["control"] = report.control
-    outcome = {
-        "point": point,
-        "chaos": chaos,
-        "slo": _slo_record(report, multiplier),
-    }
-    if tracer is not None:
-        outcome["traces"] = tracer.traces()
-        outcome["fault_timeline"] = {
-            "windows": list(tracer.fault_windows),
-            "points": list(tracer.fault_points),
-        }
-    return outcome
-
-
-def _cluster_sweep(scenario: ClusterScenario, seed: int, faults, trace=False):
-    """The full (technique, load) sweep over the cluster."""
-    arch = _arch_for(scenario)
-    allocator = AddressSpaceAllocator(page_size=arch.page_size)
-    table = make_table(allocator, "serve/dict", scenario.table_bytes)
-    capacity, cycles_per_lookup = sequential_capacity(
-        table,
-        arch,
-        n_shards=scenario.config.n_shards * scenario.n_nodes,
-        seed=seed,
-    )
-    args_tail = (True,) if trace else ()
-    outcomes = default_runner().run(
-        [
-            Task(
-                measure_cluster_point,
-                (scenario, technique, multiplier, seed, faults, capacity)
-                + args_tail,
-            )
-            for technique in scenario.techniques
-            for multiplier in scenario.loads
-        ]
-    )
-    return arch, capacity, cycles_per_lookup, outcomes
-
-
-def _cluster_doc(
-    scenario, seed, faults, arch, capacity, cycles_per_lookup, outcomes
-):
-    topology = scenario.topology()
-    chaos = any(outcome["chaos"] for outcome in outcomes)
-    controlled = any("control" in outcome["point"] for outcome in outcomes)
-    doc = {
-        "kind": "cluster",
-        "schema": CONTROL_SCHEMA if controlled else CLUSTER_SCHEMA,
-        "scenario": scenario.name,
-        "description": scenario.description,
-        "arrival_kind": scenario.arrival_kind,
-        "arch": arch.name,
-        "table_bytes": scenario.table_bytes,
-        "n_requests": scenario.n_requests,
-        "seed": seed,
-        "n_nodes": scenario.n_nodes,
-        "replication": scenario.replication,
-        "n_shards_per_node": scenario.config.n_shards,
-        "n_users": scenario.n_users,
-        "interconnect": topology.as_dict(),
-        "regions": list(topology.regions),
-        "seq_capacity_per_kcycle": capacity,
-        "seq_cycles_per_lookup": cycles_per_lookup,
-        "points": [outcome["point"] for outcome in outcomes],
-    }
-    if chaos:
-        doc["fault_profile"] = _fault_name(faults)
-    if controlled:
-        doc["base_schema"] = CLUSTER_SCHEMA
-        doc["controller"] = scenario.config.controller.to_dict()
-    return doc
-
-
-def run_cluster_scenario(
-    scenario: ClusterScenario | str,
-    *,
-    seed: int = 0,
-    faults: FaultSchedule | FaultProfile | str | None = None,
-) -> dict:
-    """Run every (technique, load) cluster point; return the document.
-
-    The ``repro.cluster/1`` schema is emitted whether or not chaos is
-    active (``fault_profile`` appears only when it is): the cluster
-    fields — per-node counters, crossings — are the document's reason
-    to exist, not a chaos add-on.
-    """
-    scenario = _resolve_ref(scenario)
-    if not isinstance(scenario, ClusterScenario):
-        raise WorkloadError(
-            f"scenario {scenario.name!r} is not a cluster scenario; "
-            "use repro.service.loadgen.run_scenario"
-        )
-    if faults is None:
-        faults = scenario.fault_profile
-    arch, capacity, cycles_per_lookup, outcomes = _cluster_sweep(
-        scenario, seed, faults
-    )
-    return _cluster_doc(
-        scenario, seed, faults, arch, capacity, cycles_per_lookup, outcomes
-    )
-
-
-def run_traced_cluster_scenario(
-    scenario: ClusterScenario | str,
-    *,
-    seed: int = 0,
-    faults: FaultSchedule | FaultProfile | str | None = None,
-) -> tuple[dict, dict]:
-    """Like :func:`run_cluster_scenario`, with request tracing on.
-
-    Attempt spans carry node-tagged lanes (``"n2/s0"``), so ``repro
-    explain`` shows *which replica* won a hedge.
-    """
-    scenario = _resolve_ref(scenario)
-    if faults is None:
-        faults = scenario.fault_profile
-    arch, capacity, cycles_per_lookup, outcomes = _cluster_sweep(
-        scenario, seed, faults, trace=True
-    )
-    doc = _cluster_doc(
-        scenario, seed, faults, arch, capacity, cycles_per_lookup, outcomes
-    )
-    labels = [
-        f"{technique}@x{multiplier:g}"
-        for technique in scenario.techniques
-        for multiplier in scenario.loads
-    ]
-    traced = {
-        label: {
-            "traces": outcome["traces"],
-            "fault_timeline": outcome["fault_timeline"],
-        }
-        for label, outcome in zip(labels, outcomes)
-    }
-    return doc, traced
 
 
 def render_cluster_doc(doc: dict) -> str:

@@ -1,515 +1,10 @@
-"""The cluster server: N simulated nodes behind one serving front door.
+"""The server name the benchmark's span table wraps.
 
-:class:`ClusterServer` extends :class:`~repro.service.server.
-ServiceServer` from one :class:`~repro.sim.multicore.MultiCoreSystem` to
-``n_nodes`` of them — each node its own memory domain (private DRAM and
-shared LLC), stitched together by a :class:`~repro.cluster.topology.
-ClusterTopology` interconnect and a consistent-hash
-:class:`~repro.cluster.routing.ClusterRouter`:
-
-* **Routing.** Each coalesced batch splits by the *primary replica* of
-  every request's probe key, computed against the set of nodes alive at
-  the batch trigger; each per-node group dispatches onto the node's
-  least-loaded shard, exactly the parent's rule restricted to the node.
-* **Interconnect.** A request answered by a node other than its home
-  charges the topology's tier cost (local / NUMA-remote / CXL) on the
-  answer's way back — execution cycles from the request's point of
-  view, so the latency-anatomy invariant (``queue_wait + batch_wait +
-  execution == latency``) is untouched.
-* **Hedging and failover.** The PR-4 hedge machinery fires unchanged,
-  but candidates narrow to the batch's *other replica nodes* — a hedge
-  is a cross-replica probe, not a random second shard. Node crashes
-  (lowered to per-shard crashes over the node's shard range) fail
-  in-flight batches into the parent's bounded-retry path; on requeue
-  the batch re-routes against the updated live set, which is failover.
-
-**The degenerate contract** (pinned by
-``tests/cluster/test_cluster_server.py``):
-with ``n_nodes=1``, ``replication=1``, and a zero-cost interconnect, a
-``ClusterServer`` run is bit-identical to a ``ServiceServer`` run on the
-same seed — same requests, timestamps, counters, exemplars. The cluster
-layer adds a parallel ``cluster.*`` metrics namespace (per-node batch
-and completion counters, interconnect crossings by tier) that exists on
-every run but never leaks into the ``service.*`` tree the historical
-reports read.
+A multi-node server is :class:`~repro.service.server.ServiceServer`
+with ``n_nodes > 1``; there is no separate class. ``perfbench/spans.py``
+wraps ``__init__`` and ``serve`` through this module's alias by name.
 """
 
-from __future__ import annotations
+from repro.service.server import ServiceServer
 
-from dataclasses import dataclass, field
-
-from repro.config import HASWELL, ArchSpec
-from repro.errors import ConfigurationError
-from repro.faults.events import LatencySpike, NodeCrash, NodeSlow, ShardCrash
-from repro.faults.injector import FaultInjector
-from repro.faults.schedule import FaultSchedule
-from repro.obs.rtrace import NULL_REQUEST_TRACER
-from repro.service.arrivals import ArrivalProcess
-from repro.service.request import Request
-from repro.service.server import (
-    ServiceConfig,
-    ServiceReport,
-    ServiceServer,
-    _Leg,
-    _Shard,
-)
-from repro.sim.multicore import MultiCoreSystem
-from repro.cluster.routing import ClusterRouter, HashRing
-from repro.cluster.topology import INTERCONNECT_TIERS, ClusterTopology
-
-__all__ = [
-    "ClusterConfig",
-    "ClusterReport",
-    "ClusterServer",
-]
-
-
-@dataclass(frozen=True)
-class ClusterConfig(ServiceConfig):
-    """A service config plus the cluster shape riding on top.
-
-    ``n_shards`` keeps its meaning — shards *per node* — so any tuned
-    single-node config lifts to a cluster by adding ``n_nodes`` and
-    ``replication``.
-    """
-
-    n_nodes: int = 1
-    replication: int = 1
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.n_nodes < 1:
-            raise ConfigurationError("a cluster needs at least one node")
-        if not 1 <= self.replication <= self.n_nodes:
-            raise ConfigurationError(
-                f"replication {self.replication} outside [1, {self.n_nodes}]"
-            )
-
-
-@dataclass
-class ClusterReport(ServiceReport):
-    """A service report widened with the cluster's own accounting."""
-
-    n_nodes: int = 1
-    replication: int = 1
-    #: ``ClusterTopology.as_dict()`` of the run's topology.
-    interconnect: dict = field(default_factory=dict)
-
-    def _cluster_tree(self) -> dict:
-        return self.metrics.snapshot().get("cluster", {})
-
-    def node_batches(self) -> dict[str, int]:
-        """Batches served per lane (every node, plus the overflow lane).
-
-        Sums to ``counters["batches"]`` — pinned by the
-        ``repro.cluster/1`` schema checker.
-        """
-        tree = self._cluster_tree()
-        result = {
-            f"node{node}": int(tree.get(f"node{node}", {}).get("batches", 0))
-            for node in range(self.n_nodes)
-        }
-        result["overflow"] = int(tree.get("overflow", {}).get("batches", 0))
-        return result
-
-    def node_completed(self) -> dict[str, int]:
-        """Batch-completed requests per lane; sums to ``completed``."""
-        tree = self._cluster_tree()
-        result = {
-            f"node{node}": int(tree.get(f"node{node}", {}).get("completed", 0))
-            for node in range(self.n_nodes)
-        }
-        result["overflow"] = int(tree.get("overflow", {}).get("completed", 0))
-        return result
-
-    def crossings(self) -> dict[str, int]:
-        """Answered requests per interconnect tier crossed on return."""
-        tree = self._cluster_tree().get("crossings", {})
-        return {tier: int(tree.get(tier, 0)) for tier in INTERCONNECT_TIERS}
-
-    @property
-    def interconnect_cycles(self) -> int:
-        """Total cycles charged to cross-node answer movement."""
-        return int(self._cluster_tree().get("interconnect_cycles", 0))
-
-    @property
-    def cross_node_hedges(self) -> int:
-        """Hedges that targeted a replica on another node."""
-        return int(self._cluster_tree().get("cross_node_hedges", 0))
-
-
-class ClusterServer(ServiceServer):
-    """N nodes, consistent-hash routing, tiered interconnect, one clock."""
-
-    def __init__(
-        self,
-        table,
-        config: ClusterConfig,
-        *,
-        arch: ArchSpec = HASWELL,
-        seed: int = 0,
-        faults: FaultSchedule | None = None,
-        tracer=NULL_REQUEST_TRACER,
-        topology: ClusterTopology | None = None,
-    ) -> None:
-        if not isinstance(config, ClusterConfig):
-            raise ConfigurationError(
-                "ClusterServer needs a ClusterConfig (got a plain ServiceConfig)"
-            )
-        if topology is None:
-            topology = (
-                ClusterTopology.single()
-                if config.n_nodes == 1
-                else ClusterTopology.planet(config.n_nodes)
-            )
-        if topology.n_nodes != config.n_nodes:
-            raise ConfigurationError(
-                f"topology has {topology.n_nodes} nodes, config asks for "
-                f"{config.n_nodes}"
-            )
-        self.topology = topology
-        self.router = ClusterRouter(
-            HashRing(config.n_nodes), config.replication
-        )
-        #: The degenerate shape: route/cost/lane logic all short-circuits
-        #: to the parent's exact code paths, which is what keeps a
-        #: 1-node cluster bit-identical to ServiceServer.
-        self._single_node = config.n_nodes == 1
-        self._homes: list[int] | None = None
-        super().__init__(
-            table, config, arch=arch, seed=seed, faults=faults, tracer=tracer
-        )
-        # Shard consolidation assumes one routing-free shard pool; the
-        # multi-node planner groups by key ownership instead, so the
-        # control plane only consolidates in the degenerate shape.
-        self._consolidate_ok = self._single_node
-
-    # ------------------------------------------------------------------
-    # Construction seams
-    # ------------------------------------------------------------------
-
-    def _build_shards(self, arch: ArchSpec, seed: int) -> None:
-        """One MultiCoreSystem per node; shards concatenate globally.
-
-        Node 0 seeds its engines exactly as the parent would
-        (``seed + local_index``), so the degenerate cluster runs the
-        same engine RNG streams as a plain server.
-        """
-        per_node = self.config.n_shards
-        self.systems = [
-            MultiCoreSystem(per_node, arch) for _ in range(self.config.n_nodes)
-        ]
-        self.system = self.systems[0]
-        self.shards = []
-        self._node_shards: list[range] = []
-        for node, system in enumerate(self.systems):
-            base = len(self.shards)
-            self.shards.extend(
-                _Shard(engine) for engine in system.engines(seed + node * per_node)
-            )
-            self._node_shards.append(range(base, base + per_node))
-
-    def _make_injector(self, faults: FaultSchedule) -> FaultInjector:
-        memories = [
-            memory for system in self.systems for memory in system.memories
-        ]
-        return _ClusterInjector(
-            self._lower_schedule(faults),
-            memories,
-            node_l3s=[system.shared_l3 for system in self.systems],
-            shards_per_node=self.config.n_shards,
-        )
-
-    def _lower_schedule(self, faults: FaultSchedule) -> FaultSchedule:
-        """Translate node-scope events into per-shard events.
-
-        A :class:`NodeCrash` becomes a :class:`ShardCrash` on every
-        shard the node hosts; a :class:`NodeSlow` becomes a
-        :class:`LatencySpike` per shard. Schedules without node events
-        pass through *unchanged* (same object), and the lowered
-        schedule keeps the original seed, so the retry-jitter stream is
-        identical either way.
-        """
-        events = []
-        changed = False
-        for event in faults.events:
-            if isinstance(event, NodeCrash):
-                changed = True
-                for node in self._nodes_hit(event):
-                    events.extend(
-                        ShardCrash(at=event.at, shard=idx, duration=event.duration)
-                        for idx in self._node_shards[node]
-                    )
-            elif isinstance(event, NodeSlow):
-                changed = True
-                for node in self._nodes_hit(event):
-                    events.extend(
-                        LatencySpike(
-                            at=event.at,
-                            shard=idx,
-                            duration=event.duration,
-                            extra_latency=event.extra_latency,
-                        )
-                        for idx in self._node_shards[node]
-                    )
-            else:
-                events.append(event)
-        if not changed:
-            return faults
-        return FaultSchedule(
-            events=tuple(events),
-            seed=faults.seed,
-            horizon=faults.horizon,
-            profile=faults.profile,
-        )
-
-    def _nodes_hit(self, event) -> range | list[int]:
-        """Nodes a node-scope event targets (out-of-range = no-op)."""
-        if event.node is None:
-            return range(self.config.n_nodes)
-        if 0 <= event.node < self.config.n_nodes:
-            return [event.node]
-        return []
-
-    # ------------------------------------------------------------------
-    # Lanes and accounting
-    # ------------------------------------------------------------------
-
-    def _node_of_shard(self, shard_index: int) -> int:
-        return shard_index // self.config.n_shards
-
-    def _lane_name(self, shard_index: int) -> str:
-        if self._single_node:
-            return super()._lane_name(shard_index)
-        node = self._node_of_shard(shard_index)
-        local = shard_index - self._node_shards[node].start
-        return f"n{node}/s{local}"
-
-    def _lane_tag(self, shard_index: int):
-        if self._single_node:
-            return super()._lane_tag(shard_index)
-        return self._lane_name(shard_index)
-
-    def _on_batch_served(self, winner: _Leg | None, batch: list[Request]) -> None:
-        lane = (
-            "overflow"
-            if winner is None
-            else f"node{self._node_of_shard(winner.shard_index)}"
-        )
-        self.metrics.counter(f"cluster.{lane}.batches").inc()
-        self.metrics.counter(f"cluster.{lane}.completed").inc(len(batch))
-
-    def _home(self, request: Request) -> int | None:
-        """The node the request's answer must land on (``None`` = served
-        in place, no crossing)."""
-        if self._homes is None:
-            return None
-        return self._homes[request.index]
-
-    def _member_completion(self, request: Request, winner: _Leg) -> int:
-        served_on = self._node_of_shard(winner.shard_index)
-        home = self._home(request)
-        if home is None:
-            home = served_on
-        tier = self.topology.tier(home, served_on)
-        cost = self.topology.costs.for_tier(tier)
-        self.metrics.counter(f"cluster.crossings.{tier}").inc()
-        if cost:
-            self.metrics.counter("cluster.interconnect_cycles").inc(cost)
-        return winner.completion + cost
-
-    # ------------------------------------------------------------------
-    # Routing-aware dispatch
-    # ------------------------------------------------------------------
-
-    def serve(
-        self, arrivals: ArrivalProcess, values, homes: list[int] | None = None
-    ) -> ClusterReport:
-        """Serve as the parent does; ``homes`` optionally pins each
-        request (by arrival index) to a home node for interconnect
-        accounting — the planet scenarios derive it from the arrival
-        process's region stream."""
-        self._homes = homes
-        return super().serve(arrivals, values)
-
-    def _make_report(self, requests: list[Request], makespan: int) -> ClusterReport:
-        return ClusterReport(
-            technique=self._technique_name,
-            config=self.config,
-            requests=requests,
-            makespan=makespan,
-            metrics=self.metrics,
-            exemplars=self.exemplars,
-            shard_exemplars=self.shard_exemplars,
-            n_nodes=self.config.n_nodes,
-            replication=self.config.replication,
-            interconnect=self.topology.as_dict(),
-            control=self._control_summary(makespan),
-        )
-
-    def _alive_nodes(self, at: int) -> frozenset | None:
-        """Nodes able to start work at ``at`` (``None`` = no routing
-        constraint: either chaos is off or literally everything is down,
-        and a fully-dead cluster routes as if healthy — dispatch then
-        waits out the outage exactly like the parent does)."""
-        if self._injector is None:
-            return None
-        alive = frozenset(
-            node
-            for node in range(self.config.n_nodes)
-            if any(
-                self._injector.available_from(idx, at) <= at
-                for idx in self._node_shards[node]
-            )
-        )
-        return alive or None
-
-    def _plan_dispatch(self):
-        if self._single_node:
-            return super()._plan_dispatch()
-        trigger = self.coalescer.next_trigger()
-        if trigger is None:
-            return None
-        pending = self._peek_batch()
-        alive = self._alive_nodes(trigger)
-        grouped: dict[int, list[Request]] = {}
-        for request in pending:
-            node = self.router.primary(int(request.value), alive=alive)
-            grouped.setdefault(node, []).append(request)
-        plans: list[_GroupPlan] = []
-        for node in sorted(grouped):
-            members = grouped[node]
-            start, shard_index, fault_delayed = self._plan_node_dispatch(
-                node, trigger
-            )
-            if (
-                fault_delayed
-                and self._overflow_armed
-                and self._injector is not None
-            ):
-                overflow_start = max(trigger, self._overflow.busy_until)
-                if overflow_start < start:
-                    plans.append(
-                        _GroupPlan(node, None, overflow_start, True, members)
-                    )
-                    continue
-            plans.append(
-                _GroupPlan(node, shard_index, start, fault_delayed, members)
-            )
-        dispatch_at = min(plan.start for plan in plans)
-        return (dispatch_at, trigger, plans)
-
-    def _peek_batch(self) -> list[Request]:
-        """The exact prefix ``coalescer.take`` will pop this iteration.
-
-        Safe to pre-read: the event loop never admits or requeues
-        between planning a dispatch and running it."""
-        queue = self.admission.queue
-        return [
-            queue[i] for i in range(min(self.config.max_batch, len(queue)))
-        ]
-
-    def _plan_node_dispatch(self, node: int, trigger: int):
-        """The parent's least-loaded rule, restricted to one node."""
-        best_key = None
-        for idx in self._node_shards[node]:
-            shard = self.shards[idx]
-            start = max(trigger, shard.busy_until)
-            if self._injector is not None:
-                start = self._injector.available_from(idx, start)
-            key = (start, shard.busy_until, idx)
-            if best_key is None or key < best_key:
-                best_key = key
-        start, _, shard_index = best_key
-        fault_delayed = start > max(
-            trigger, self.shards[shard_index].busy_until
-        )
-        return start, shard_index, fault_delayed
-
-    def _run_batch(self, now: int, plan, arrivals: ArrivalProcess) -> int:
-        if self._single_node:
-            return super()._run_batch(now, plan, arrivals)
-        _, trigger, plans = plan
-        batch = self.coalescer.take(trigger)
-        if any(group.fault_delayed for group in plans):
-            self._count("outage_delays")
-        batch = self._expire_timeouts(batch, now, arrivals)
-        if not batch:
-            return now
-        alive_ids = {request.index for request in batch}
-        resolved = now
-        for group in plans:
-            members = [r for r in group.members if r.index in alive_ids]
-            if not members:
-                continue
-            # The loop woke at the *earliest* group's start; later
-            # groups keep their own planned start (it already accounts
-            # for that node's outage windows).
-            group_now = max(now, group.start)
-            if group.shard_index is None:
-                done = self._run_fallback(members, group_now, arrivals)
-            else:
-                done = self._dispatch_group(
-                    members, trigger, group.shard_index, group_now, arrivals
-                )
-            resolved = max(resolved, done)
-        return resolved
-
-    def _hedge_candidates(self, primary: int, batch: list[Request]):
-        if self._single_node:
-            return None
-        primary_node = self._node_of_shard(primary)
-        if self.config.replication > 1:
-            nodes: set[int] = set()
-            for request in batch:
-                nodes.update(self.router.replicas(int(request.value)))
-            nodes.discard(primary_node)
-            if nodes:
-                self.metrics.counter("cluster.cross_node_hedges").inc()
-                return [
-                    idx
-                    for node in sorted(nodes)
-                    for idx in self._node_shards[node]
-                ]
-        # Unreplicated keys can only be re-probed where they live.
-        return list(self._node_shards[primary_node])
-
-
-@dataclass
-class _GroupPlan:
-    """One node's slice of a planned batch dispatch."""
-
-    node: int
-    #: ``None`` = the slice falls back to the overflow lane.
-    shard_index: int | None
-    start: int
-    fault_delayed: bool
-    members: list[Request]
-
-
-class _ClusterInjector(FaultInjector):
-    """A shard-scope injector that knows which LLC belongs to whom.
-
-    Everything interval-arithmetic works unchanged over the
-    concatenated shard list; only the cache-flush point fault needs
-    node awareness, because "the shared LLC" is per node here.
-    """
-
-    def __init__(self, schedule, memories, *, node_l3s, shards_per_node) -> None:
-        super().__init__(schedule, memories, shared_l3=node_l3s[0])
-        self._node_l3s = list(node_l3s)
-        self._shards_per_node = shards_per_node
-
-    def _apply_point(self, event) -> None:
-        if event.kind != "cache_flush":  # pragma: no cover - future kinds
-            raise ConfigurationError(f"cannot apply point fault {event.kind!r}")
-        for shard, memory in enumerate(self._memories):
-            if event.targets(shard):
-                memory.flush_private()
-        if getattr(event, "llc", False):
-            if event.shard is None:
-                for l3 in self._node_l3s:
-                    l3.flush()
-            else:
-                self._node_l3s[event.shard // self._shards_per_node].flush()
-        self.flushes_applied += 1
+ClusterServer = ServiceServer  # an alias for the span table in perfbench/spans.py

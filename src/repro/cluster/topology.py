@@ -139,10 +139,6 @@ class ClusterTopology:
             return "numa"
         return "cxl"
 
-    def cost(self, a: int, b: int) -> int:
-        """Cycle cost of moving one answer from node ``b`` to node ``a``."""
-        return self.costs.for_tier(self.tier(a, b))
-
     def max_cost(self) -> int:
         """The worst single crossing this topology can charge."""
         if self.n_nodes == 1:

@@ -19,10 +19,9 @@ path the server falls back to, so chaos never touches it.
 A third scope exists for the cluster layer: **node faults**
 (:class:`NodeCrash`, :class:`NodeSlow`) target a whole node — a machine,
 not a core. They are invisible to the shard-scope injector
-(``targets()`` is always ``False``); ``ClusterServer`` *lowers* them
-into per-shard events over the crashed node's shard range before
-building its injector, so the single-node service path never has to
-know nodes exist.
+(``targets()`` is always ``False``); the server *lowers* them into
+per-shard events over the node's shard range before building its
+injector, so the injector never has to know nodes exist.
 """
 
 from __future__ import annotations
@@ -178,8 +177,8 @@ class NodeFault(FaultEvent):
     ``node`` selects a cluster node; ``None`` means every node. Node
     faults never match a shard directly — :meth:`targets` is ``False``
     so a shard-scope :class:`~repro.faults.injector.FaultInjector`
-    handed an un-lowered schedule simply ignores them. The cluster
-    server translates each node fault into the equivalent per-shard
+    handed an un-lowered schedule simply ignores them. The server
+    translates each node fault into the equivalent per-shard
     events over the node's shard range (crash -> per-shard crash,
     slow -> per-shard latency spike) before injection.
     """

@@ -46,21 +46,28 @@ class FaultEnv:
 
 
 class FaultInjector:
-    """Evaluates one schedule against a set of shard memory systems."""
+    """Evaluates one schedule against a set of shard memory systems.
+
+    ``node_l3s`` lists each node's shared LLC; the shards split evenly
+    over the nodes in order (node ``i`` hosts the ``i``-th run of
+    ``n_shards // len(node_l3s)`` shards), which is what an LLC flush
+    aimed at one shard needs to find its cache.
+    """
 
     def __init__(
         self,
         schedule: FaultSchedule,
         memories,
         *,
-        shared_l3=None,
+        node_l3s=(),
     ) -> None:
         if not memories:
             raise ConfigurationError("fault injector needs at least one shard")
         self.schedule = schedule
         self._memories = list(memories)
         self.n_shards = len(self._memories)
-        self._shared_l3 = shared_l3
+        self._node_l3s = list(node_l3s)
+        self._shards_per_node = self.n_shards // max(1, len(self._node_l3s))
         self._windows = [
             schedule.windows_for(shard) for shard in range(self.n_shards)
         ]
@@ -175,8 +182,10 @@ class FaultInjector:
         for shard, memory in enumerate(self._memories):
             if event.targets(shard):
                 memory.flush_private()
-        if getattr(event, "llc", False) and self._shared_l3 is not None:
-            self._shared_l3.flush()
+        if getattr(event, "llc", False):
+            for node, l3 in enumerate(self._node_l3s):
+                if event.shard is None or event.shard // self._shards_per_node == node:
+                    l3.flush()
         self.flushes_applied += 1
 
     # ------------------------------------------------------------------
@@ -221,7 +230,7 @@ class OfflineFaultInjector:
     def __init__(self, schedule: FaultSchedule, engine) -> None:
         self.engine = engine
         self.injector = FaultInjector(
-            schedule, [engine.memory], shared_l3=engine.memory.l3
+            schedule, [engine.memory], node_l3s=[engine.memory.l3]
         )
         #: Cycles spent stalled in outage windows.
         self.stall_cycles = 0

@@ -122,13 +122,9 @@ def resolve_scenario(ref):
     format does not model (user-defined classes with extra behaviour),
     which pass through unchanged rather than being lossily flattened.
     """
-    from repro.cluster.scenarios import ClusterScenario
     from repro.service.scenarios import Scenario
 
-    if isinstance(ref, Scenario) and type(ref) not in (
-        Scenario,
-        ClusterScenario,
-    ):
+    if isinstance(ref, Scenario) and type(ref) is not Scenario:
         return ref
     spec = resolve_spec(ref)
     if isinstance(ref, (Scenario, dict, ScenarioSpec)):

@@ -1,9 +1,8 @@
 """``repro.scenario/1``: the declarative scenario spec.
 
-:class:`ScenarioSpec` is the one frozen surface unifying the previously
-divergent config shapes — :class:`~repro.service.scenarios.Scenario`,
-:class:`~repro.cluster.scenarios.ClusterScenario`, and the SLO-run
-kwargs — behind a versioned plain-data document:
+:class:`ScenarioSpec` is the one frozen surface over
+:class:`~repro.service.scenarios.Scenario` and the SLO-run kwargs,
+behind a versioned plain-data document:
 
 .. code-block:: yaml
 
@@ -31,8 +30,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
-from repro.cluster.scenarios import ClusterScenario
-from repro.cluster.server import ClusterConfig
 from repro.cluster.topology import TOPOLOGY_PRESETS
 from repro.control import ControllerConfig
 from repro.errors import ConfigurationError, SpecError, WorkloadError
@@ -77,6 +74,9 @@ _TOP_LEVEL_KEYS = (
 
 _CLUSTER_ONLY_KEYS = ("interconnect", "n_users")
 
+#: Config fields only a ``kind: cluster`` spec may set.
+_CLUSTER_CONFIG_KEYS = ("n_nodes", "replication")
+
 #: Scalar shape of each config field: (accepted types, allows None).
 #: ``bool`` must be listed before ``int`` checks anywhere both apply —
 #: JSON booleans are not acceptable integers here.
@@ -102,7 +102,7 @@ _CONFIG_FIELD_TYPES: dict[str, tuple[tuple, bool]] = {
     "overflow_fallback": ((bool,), False),
     "request_kind": ((str,), False),
     "controller": ((dict,), True),
-    # Cluster-config extensions:
+    # Cluster-only (see _CLUSTER_CONFIG_KEYS):
     "n_nodes": ((int,), False),
     "replication": ((int,), False),
 }
@@ -139,24 +139,24 @@ def _check_scalar(value, types, allow_none, path: str):
 def config_from_dict(
     data: dict, *, cluster: bool = False, path: str = "config"
 ) -> ServiceConfig:
-    """Build a (cluster) service config from a plain dict, strictly.
+    """Build a service config from a plain dict, strictly.
 
     Unknown keys, wrongly-typed values, and out-of-range fields all
     raise :class:`SpecError` with the offending field's dotted path —
     the repair for the historic silent-extras behaviour of handing
-    ``ServiceConfig(**d)``-shaped dicts around.
+    ``ServiceConfig(**d)``-shaped dicts around. ``n_nodes`` and
+    ``replication`` are known only with ``cluster=True``.
     """
     if not isinstance(data, dict):
         raise SpecError(
             f"expected a mapping, got {type(data).__name__}", path=path
         )
-    cls = ClusterConfig if cluster else ServiceConfig
-    known = {f.name for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in data.items():
-        if key not in known:
-            suffix = "" if cluster else " (a cluster-config field?)"
-            hint = suffix if key in ("n_nodes", "replication") else ""
+        if key not in _CONFIG_FIELD_TYPES or (
+            key in _CLUSTER_CONFIG_KEYS and not cluster
+        ):
+            hint = " (a cluster-config field?)" if key in _CLUSTER_CONFIG_KEYS else ""
             raise SpecError(f"unknown config field{hint}", path=f"{path}.{key}")
         types, allow_none = _CONFIG_FIELD_TYPES[key]
         _check_scalar(value, types, allow_none, f"{path}.{key}")
@@ -166,7 +166,7 @@ def config_from_dict(
             kwargs["controller"], path=f"{path}.controller"
         )
     try:
-        return cls(**kwargs)
+        return ServiceConfig(**kwargs)
     except ConfigurationError as error:
         raise SpecError(str(error), path=path) from error
 
@@ -201,7 +201,7 @@ def _check_technique(name: str, path: str) -> None:
 
 
 def config_to_dict(config: ServiceConfig) -> dict:
-    """The canonical plain-JSON form of a (cluster) service config."""
+    """The canonical plain-JSON form of a service config."""
     record = {}
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
@@ -388,6 +388,10 @@ class ScenarioSpec:
 
     def to_dict(self) -> dict:
         """The canonical plain-JSON document (inverse of ``from_dict``)."""
+        config = config_to_dict(self.config)
+        if self.kind != "cluster":
+            for key in _CLUSTER_CONFIG_KEYS:
+                del config[key]
         record = {
             "schema": SCENARIO_SPEC_SCHEMA,
             "name": self.name,
@@ -403,7 +407,7 @@ class ScenarioSpec:
             "arch_scale": self.arch_scale,
             "n_requests": self.n_requests,
             "fault_profile": self.fault_profile,
-            "config": config_to_dict(self.config),
+            "config": config,
         }
         if self.kind == "cluster":
             record["interconnect"] = self.interconnect
@@ -417,10 +421,9 @@ class ScenarioSpec:
     @classmethod
     def from_scenario(cls, scenario: Scenario) -> "ScenarioSpec":
         """Serialise an existing (registry) scenario object."""
-        cluster = isinstance(scenario, ClusterScenario)
         kwargs = dict(
             name=scenario.name,
-            kind="cluster" if cluster else "service",
+            kind=scenario.kind,
             description=scenario.description,
             arrival_kind=scenario.arrival_kind,
             arrival_params=dict(scenario.arrival_params or {}),
@@ -432,7 +435,7 @@ class ScenarioSpec:
             fault_profile=scenario.fault_profile,
             config=scenario.config,
         )
-        if cluster:
+        if scenario.kind == "cluster":
             kwargs["interconnect"] = scenario.interconnect
             kwargs["n_users"] = scenario.n_users
         return cls(**kwargs)
@@ -452,13 +455,9 @@ class ScenarioSpec:
             config=self.config,
             fault_profile=self.fault_profile,
         )
+        if self.kind == "cluster":
+            kwargs.update(interconnect=self.interconnect, n_users=self.n_users)
         try:
-            if self.kind == "cluster":
-                return ClusterScenario(
-                    interconnect=self.interconnect,
-                    n_users=self.n_users,
-                    **kwargs,
-                )
             return Scenario(**kwargs)
         except ConfigurationError as error:
             raise SpecError(str(error)) from error

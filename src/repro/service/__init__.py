@@ -59,7 +59,6 @@ from repro.service.server import (
     ServiceConfig,
     ServiceReport,
     ServiceServer,
-    percentile,
 )
 
 __all__ = [
@@ -88,7 +87,6 @@ __all__ = [
     "fault_horizon",
     "get_scenario",
     "make_arrivals",
-    "percentile",
     "register_scenario",
     "render_explain_doc",
     "render_service_doc",

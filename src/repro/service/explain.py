@@ -21,14 +21,8 @@ from __future__ import annotations
 from repro.errors import SimulationError, WorkloadError
 from repro.obs.hist import exemplar_from_dict
 from repro.obs.rtrace import critical_path, trace_errors
-from repro.service.loadgen import (
-    _resolve_ref,
-    measure_service_point,
-    sequential_capacity,
-)
+from repro.service.loadgen import _calibrate, _resolve_ref, measure_service_point
 from repro.service.scenarios import Scenario
-from repro.sim.allocator import AddressSpaceAllocator
-from repro.workloads.generators import make_table
 
 __all__ = ["EXPLAIN_SCHEMA", "explain_point", "render_explain_doc"]
 
@@ -100,32 +94,10 @@ def explain_point(
 
     # Calibrate capacity exactly the way the sweep does, so the traced
     # point replays the same offered load as `serve <scenario>`.
-    from repro.service.loadgen import _arch_for  # shared, deliberately
-
-    arch = _arch_for(scenario)
-    allocator = AddressSpaceAllocator(page_size=arch.page_size)
-    table = make_table(allocator, "serve/dict", scenario.table_bytes)
-    from repro.cluster.scenarios import ClusterScenario
-
-    if isinstance(scenario, ClusterScenario):
-        from repro.cluster.loadgen import measure_cluster_point
-
-        capacity, _ = sequential_capacity(
-            table,
-            arch,
-            n_shards=scenario.config.n_shards * scenario.n_nodes,
-            seed=seed,
-        )
-        outcome = measure_cluster_point(
-            scenario, technique, load, seed, faults, capacity, True
-        )
-    else:
-        capacity, _ = sequential_capacity(
-            table, arch, n_shards=scenario.config.n_shards, seed=seed
-        )
-        outcome = measure_service_point(
-            scenario, technique, load, seed, faults, capacity, True
-        )
+    _, capacity, _ = _calibrate(scenario, seed)
+    outcome = measure_service_point(
+        scenario, technique, load, seed, faults, capacity, True
+    )
 
     slo = outcome["slo"]
     exemplar = exemplar_from_dict(slo["hist"], q)

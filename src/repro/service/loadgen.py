@@ -7,9 +7,22 @@ seeded probe-value list, runs a fresh :class:`~repro.service.server.
 ServiceServer`, and flattens the report into a plain dict — the
 ``repro.service/1`` data document.
 
+The scenario's kind (its spec's ``kind``) is the one place the
+multi-node decision is made. A ``cluster`` scenario draws its probe
+keys from a user population and pins each request to a home node
+(:mod:`repro.cluster.loadgen`), resolves its fault profile at *node*
+scope (the profile's ``n_shards`` argument is the node count, so
+``cluster-chaos`` draws whole-node events the server lowers onto each
+node's shards), and emits a ``repro.cluster/1`` document whose points
+add per-node batch/completion counters, interconnect crossings by tier
+and the cycles charged to answer movement. That schema is emitted
+whether or not chaos is active: the cluster fields are the document's
+reason to exist, not a chaos add-on.
+
 Offered load is calibrated, not guessed: the sweep first measures the
 sequential executor's warm cycles-per-lookup on the scenario's table and
-derives the socket's sequential capacity in requests per kilocycle.
+derives the fleet's sequential capacity in requests per kilocycle
+(``n_nodes * n_shards`` sequential shards).
 Scenario load multipliers scale that capacity, so "2.0" saturates the
 sequential server by construction — which is exactly where the paper's
 robustness claim becomes a serving claim: the interleaved executors'
@@ -21,9 +34,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.cluster.loadgen import (
+    CLUSTER_SCHEMA,
+    home_nodes,
+    render_cluster_doc,
+    user_keys,
+)
 from repro.config import HASWELL, ArchSpec, scaled
 from repro.control import CONTROL_SCHEMA
-from repro.errors import WorkloadError
 from repro.faults.schedule import FaultProfile, FaultSchedule, resolve_schedule
 from repro.interleaving.executor import BulkLookup, get_executor
 from repro.obs.rtrace import RequestTracer
@@ -190,6 +208,17 @@ def percentile_of(report: ServiceReport, q: float = 99):
     return nearest_rank(sorted(report.latencies + report.shed_latencies), q)
 
 
+def _cluster_point(report: ServiceReport) -> dict:
+    """The extra per-point fields of ``repro.cluster/1``."""
+    return {
+        "node_batches": report.node_batches(),
+        "node_completed": report.node_completed(),
+        "crossings": report.crossings(),
+        "interconnect_cycles": report.interconnect_cycles,
+        "cross_node_hedges": report.cross_node_hedges,
+    }
+
+
 def measure_service_point(
     scenario: Scenario,
     technique: str,
@@ -208,12 +237,18 @@ def measure_service_point(
     ``trace=True`` a :class:`~repro.obs.rtrace.RequestTracer` rides
     along and the outcome additionally carries every request's span
     tree (tracing is observational: the point itself is unchanged).
+    Every technique at the same load multiplier replays the identical
+    fault schedule.
     """
+    cluster = scenario.kind == "cluster"
     arch = _arch_for(scenario)
     allocator = AddressSpaceAllocator(page_size=arch.page_size)
     table = make_table(allocator, "serve/dict", scenario.table_bytes)
-    rng = np.random.RandomState(seed + 11)
-    values = [int(v) for v in rng.randint(0, table.size, scenario.n_requests)]
+    if cluster:
+        values = user_keys(scenario, table.size, seed)
+    else:
+        rng = np.random.RandomState(seed + 11)
+        values = [int(v) for v in rng.randint(0, table.size, scenario.n_requests)]
     config = scenario.config
     if technique.lower() in ("sequential", "std", "baseline"):
         config = _replace_config(config, technique=technique, group_size=1)
@@ -229,9 +264,10 @@ def measure_service_point(
     schedule = resolve_schedule(
         faults,
         horizon=fault_horizon(scenario.n_requests, rate),
-        n_shards=config.n_shards,
+        n_shards=config.n_nodes if cluster else config.n_shards,
         seed=seed,
     )
+    topology = scenario.topology()
     tracer = RequestTracer() if trace else None
     server = ServiceServer(
         table,
@@ -239,13 +275,17 @@ def measure_service_point(
         arch=arch,
         seed=seed,
         faults=schedule,
+        topology=topology,
         **({"tracer": tracer} if tracer is not None else {}),
     )
-    report = server.serve(arrivals, values)
+    homes = home_nodes(scenario, topology, arrivals) if cluster else None
+    report = server.serve(arrivals, values, homes=homes)
     point = _point(report, multiplier, rate)
     chaos = schedule is not None
     if chaos:
         point.update(_chaos_point(report, schedule))
+    if cluster:
+        point.update(_cluster_point(report))
     if report.control is not None:
         point["control"] = report.control
     outcome = {"point": point, "chaos": chaos, "slo": _slo_record(report, multiplier)}
@@ -258,6 +298,19 @@ def measure_service_point(
     return outcome
 
 
+def _calibrate(scenario: Scenario, seed: int) -> tuple[ArchSpec, float, float]:
+    """The scenario's arch and its fleet's sequential capacity:
+    ``(arch, capacity_per_kcycle, cycles_per_lookup)``."""
+    arch = _arch_for(scenario)
+    allocator = AddressSpaceAllocator(page_size=arch.page_size)
+    table = make_table(allocator, "serve/dict", scenario.table_bytes)
+    config = scenario.config
+    capacity, cycles_per_lookup = sequential_capacity(
+        table, arch, n_shards=config.n_shards * config.n_nodes, seed=seed
+    )
+    return arch, capacity, cycles_per_lookup
+
+
 def _sweep(scenario, seed, faults, trace=False):
     """Run the full (technique, load) sweep; return the raw outcomes.
 
@@ -266,12 +319,7 @@ def _sweep(scenario, seed, faults, trace=False):
     (``run_scenario`` and ``run_slo_scenario`` of the same scenario hit
     the same cache line).
     """
-    arch = _arch_for(scenario)
-    allocator = AddressSpaceAllocator(page_size=arch.page_size)
-    table = make_table(allocator, "serve/dict", scenario.table_bytes)
-    capacity, cycles_per_lookup = sequential_capacity(
-        table, arch, n_shards=scenario.config.n_shards, seed=seed
-    )
+    arch, capacity, cycles_per_lookup = _calibrate(scenario, seed)
     args_tail = (True,) if trace else ()
     outcomes = default_runner().run(
         [
@@ -290,9 +338,12 @@ def _sweep(scenario, seed, faults, trace=False):
 def _service_doc(scenario, seed, faults, arch, capacity, cycles_per_lookup, outcomes):
     chaos = any(outcome["chaos"] for outcome in outcomes)
     controlled = any("control" in outcome["point"] for outcome in outcomes)
-    base_schema = CHAOS_SCHEMA if chaos else SERVICE_SCHEMA
+    if scenario.kind == "cluster":
+        base_schema = CLUSTER_SCHEMA
+    else:
+        base_schema = CHAOS_SCHEMA if chaos else SERVICE_SCHEMA
     doc = {
-        "kind": "service",
+        "kind": scenario.kind,
         "schema": CONTROL_SCHEMA if controlled else base_schema,
         "scenario": scenario.name,
         "description": scenario.description,
@@ -301,10 +352,22 @@ def _service_doc(scenario, seed, faults, arch, capacity, cycles_per_lookup, outc
         "table_bytes": scenario.table_bytes,
         "n_requests": scenario.n_requests,
         "seed": seed,
-        "seq_capacity_per_kcycle": capacity,
-        "seq_cycles_per_lookup": cycles_per_lookup,
-        "points": [outcome["point"] for outcome in outcomes],
     }
+    if scenario.kind == "cluster":
+        topology = scenario.topology()
+        doc.update(
+            n_nodes=scenario.config.n_nodes,
+            replication=scenario.config.replication,
+            n_shards_per_node=scenario.config.n_shards,
+            n_users=scenario.n_users,
+            interconnect=topology.as_dict(),
+            regions=list(topology.regions),
+        )
+    doc.update(
+        seq_capacity_per_kcycle=capacity,
+        seq_cycles_per_lookup=cycles_per_lookup,
+        points=[outcome["point"] for outcome in outcomes],
+    )
     if chaos:
         doc["fault_profile"] = _fault_name(faults)
     if controlled:
@@ -331,15 +394,12 @@ def run_scenario(
     profile — emits a plain ``repro.service/1`` document bit-identical
     to a run of a server without the fault machinery; a non-empty
     schedule switches the document to ``repro.chaos/1``, whose points
-    add the fault/retry/hedge accounting. Every technique at the same
-    load multiplier replays the *identical* schedule (the horizon
-    depends only on the request count and the offered rate).
+    add the fault/retry/hedge accounting. A ``cluster`` scenario always
+    emits ``repro.cluster/1``. Every technique at the same load
+    multiplier replays the *identical* schedule (the horizon depends
+    only on the request count and the offered rate).
     """
     scenario = _resolve_ref(scenario)
-    if _is_cluster(scenario):
-        from repro.cluster.loadgen import run_cluster_scenario
-
-        return run_cluster_scenario(scenario, seed=seed, faults=faults)
     if faults is None:
         faults = scenario.fault_profile
     arch, capacity, cycles_per_lookup, outcomes = _sweep(scenario, seed, faults)
@@ -360,13 +420,11 @@ def run_traced_scenario(
     document an untraced run emits (tracing is observational), and
     ``traced`` maps a ``"technique@xLOAD"`` label per point to
     ``{"traces": [...], "fault_timeline": {...}}`` — the inputs of
-    :func:`repro.obs.rtrace.request_chrome_trace`.
+    :func:`repro.obs.rtrace.request_chrome_trace`. Cluster attempt spans
+    carry node-tagged lanes (``"n2/s0"``), so ``repro explain`` shows
+    *which replica* won a hedge.
     """
     scenario = _resolve_ref(scenario)
-    if _is_cluster(scenario):
-        from repro.cluster.loadgen import run_traced_cluster_scenario
-
-        return run_traced_cluster_scenario(scenario, seed=seed, faults=faults)
     if faults is None:
         faults = scenario.fault_profile
     arch, capacity, cycles_per_lookup, outcomes = _sweep(
@@ -391,9 +449,8 @@ def run_traced_scenario(
 
 
 def run_slo_scenario(
-    spec=None,
+    spec,
     *,
-    scenario=None,
     seed: int = 0,
     faults: FaultSchedule | FaultProfile | str | None = None,
 ) -> dict:
@@ -403,12 +460,10 @@ def run_slo_scenario(
     the document carries, per (technique, load) point, the exemplar
     latency histogram, the per-lane execution histograms, and the
     multi-window burn analysis of :mod:`repro.obs.slo`. ``spec``
-    accepts any reference :func:`repro.scenario.resolve_scenario` does;
-    the ``scenario=`` keyword remains as a deprecated alias.
+    accepts any reference :func:`repro.scenario.resolve_scenario` does.
     """
     from repro.errors import ConfigurationError
 
-    spec = _shim_scenario_kwarg(spec, scenario, "run_slo_scenario")
     scenario = _resolve_ref(spec)
     if scenario.config.slo_cycles is None:
         raise ConfigurationError(
@@ -416,11 +471,7 @@ def run_slo_scenario(
         )
     if faults is None:
         faults = scenario.fault_profile
-    if _is_cluster(scenario):
-        from repro.cluster.loadgen import _cluster_sweep as sweep
-    else:
-        sweep = _sweep
-    arch, capacity, _, outcomes = sweep(scenario, seed, faults)
+    arch, capacity, _, outcomes = _sweep(scenario, seed, faults)
     chaos = any(outcome["chaos"] for outcome in outcomes)
     return {
         "kind": "slo",
@@ -445,13 +496,6 @@ def _replace_config(config, **changes):
     return dataclasses.replace(config, **changes)
 
 
-def _is_cluster(scenario) -> bool:
-    """Whether the scenario routes over nodes (lazy: no import cycle)."""
-    from repro.cluster.scenarios import ClusterScenario
-
-    return isinstance(scenario, ClusterScenario)
-
-
 def _resolve_ref(ref):
     """Funnel any scenario reference through the spec surface (lazy)."""
     from repro.scenario import resolve_scenario
@@ -459,34 +503,11 @@ def _resolve_ref(ref):
     return resolve_scenario(ref)
 
 
-def _shim_scenario_kwarg(spec, scenario, where: str):
-    """Support the deprecated ``scenario=`` keyword alongside ``spec``."""
-    if scenario is not None:
-        if spec is not None:
-            raise WorkloadError(
-                f"{where}() got both 'spec' and the deprecated 'scenario'"
-            )
-        import warnings
-
-        warnings.warn(
-            f"{where}(scenario=...) is deprecated; pass the reference "
-            "positionally or as spec=...",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        spec = scenario
-    if spec is None:
-        raise WorkloadError(f"{where}() needs a scenario reference")
-    return spec
-
-
 def render_service_doc(doc: dict) -> str:
     """Render a service document as the CLI's ASCII artifact."""
     from repro.analysis.reporting import format_table
 
-    if "repro.cluster/1" in (doc.get("schema"), doc.get("base_schema")):
-        from repro.cluster.loadgen import render_cluster_doc
-
+    if CLUSTER_SCHEMA in (doc.get("schema"), doc.get("base_schema")):
         return render_cluster_doc(doc)
     chaos = CHAOS_SCHEMA in (doc.get("schema"), doc.get("base_schema"))
     headers = [

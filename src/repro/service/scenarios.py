@@ -17,6 +17,14 @@ unchanged (latencies and the cost model do not scale).
 The registry mirrors ``EXECUTOR_REGISTRY``: decorate a ``Scenario``
 with :func:`register_scenario` and the CLI, the benchmarks, and
 ``python -m repro list`` all pick it up.
+
+A scenario with an ``interconnect`` preset is a *cluster* scenario
+(``kind: cluster`` in its ``repro.scenario/1`` spec): its config
+spreads ``n_nodes`` x ``n_shards`` shards over a routed fleet, and its
+traffic knows about geography — the planet scenarios draw millions of
+simulated users through a diurnal, region-rotating arrival mix, map
+each region onto the topology's nodes, and, in the chaos variants,
+kill whole nodes mid-run via the ``cluster-chaos`` fault profile.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from __future__ import annotations
 import difflib
 from dataclasses import dataclass, field
 
+from repro.cluster.topology import TOPOLOGY_PRESETS, ClusterTopology
 from repro.control import ControllerConfig
 from repro.errors import ConfigurationError, WorkloadError
 from repro.faults.schedule import get_fault_profile
@@ -71,6 +80,12 @@ class Scenario:
     #: Default fault profile (``repro.faults``); ``None`` = no chaos.
     #: ``python -m repro serve <name> --faults <profile>`` overrides it.
     fault_profile: str | None = None
+    #: Topology preset (see ``repro.cluster.topology``); ``None`` = a
+    #: single-system service scenario, anything else a cluster one.
+    interconnect: str | None = None
+    #: Size of the simulated user population cluster scenarios draw
+    #: probe keys from.
+    n_users: int = 1_000_000
 
     def __post_init__(self) -> None:
         if self.arrival_kind not in ARRIVAL_KINDS:
@@ -86,6 +101,35 @@ class Scenario:
             raise ConfigurationError(f"scenario {self.name!r}: no techniques")
         if self.fault_profile is not None:
             get_fault_profile(self.fault_profile)  # raises on unknown names
+        if self.interconnect is None:
+            if self.config.n_nodes != 1:
+                raise ConfigurationError(
+                    f"scenario {self.name!r}: {self.config.n_nodes} nodes "
+                    "need an interconnect preset"
+                )
+        elif self.interconnect not in TOPOLOGY_PRESETS:
+            raise ConfigurationError(
+                f"scenario {self.name!r}: unknown interconnect preset "
+                f"{self.interconnect!r} (have: "
+                f"{', '.join(sorted(TOPOLOGY_PRESETS))})"
+            )
+        if self.n_users < 1:
+            raise ConfigurationError(
+                f"scenario {self.name!r}: needs at least one simulated user"
+            )
+
+    @property
+    def kind(self) -> str:
+        """The spec kind: ``"cluster"`` with an interconnect, else
+        ``"service"``."""
+        return "service" if self.interconnect is None else "cluster"
+
+    def topology(self) -> ClusterTopology:
+        """Materialise the scenario's topology (one node without an
+        interconnect preset)."""
+        if self.interconnect is None:
+            return ClusterTopology.single()
+        return TOPOLOGY_PRESETS[self.interconnect](self.config.n_nodes)
 
 
 #: Registered scenarios, keyed by lower-cased name.
@@ -373,5 +417,109 @@ register_scenario(
             warmup_requests=16,
             slo_cycles=25_000,
         ),
+    )
+)
+
+
+#: Resilience knobs the planet scenarios arm — the chaos-grade settings
+#: plus replication, so node crashes are something routing can answer.
+def _planet_config(
+    *, n_nodes: int, n_shards: int, quick: bool
+) -> ServiceConfig:
+    return ServiceConfig(
+        max_batch=16 if quick else 24,
+        max_wait_cycles=2500 if quick else 3000,
+        queue_capacity=48 if quick else 96,
+        overload_policy="reject",
+        n_shards=n_shards,
+        warmup_requests=16 if quick else 32,
+        slo_cycles=25_000 if quick else 30_000,
+        max_retries=2,
+        retry_backoff_cycles=1500,
+        hedge_after_cycles=9000,
+        degradation="adaptive",
+        overflow_fallback=True,
+        n_nodes=n_nodes,
+        replication=2,
+    )
+
+
+register_scenario(
+    Scenario(
+        name="planet",
+        description=(
+            "Eight nodes across four pods, 2.5M simulated users on "
+            "follow-the-sun diurnal traffic over eight regions, R=2 "
+            "consistent-hash routing, and whole-node crashes and "
+            "brown-outs from the cluster-chaos profile: the robustness "
+            "claim at fleet scale."
+        ),
+        arrival_kind="diurnal",
+        arrival_params={
+            "n_regions": 8,
+            "day_cycles": 120_000,
+            "amplitude": 0.8,
+        },
+        techniques=("sequential", "CORO"),
+        loads=(0.6, 1.8),
+        table_bytes=4 << 20,
+        n_requests=400,
+        fault_profile="cluster-chaos",
+        config=_planet_config(n_nodes=8, n_shards=2, quick=False),
+        interconnect="planet",
+        n_users=2_500_000,
+    )
+)
+
+register_scenario(
+    Scenario(
+        name="planet-quick",
+        description=(
+            "CI planet smoke: four nodes, diurnal traffic over four "
+            "regions, R=2 routing, node crashes from cluster-chaos. "
+            "Seconds, not minutes."
+        ),
+        arrival_kind="diurnal",
+        arrival_params={
+            "n_regions": 4,
+            "day_cycles": 60_000,
+            "amplitude": 0.8,
+        },
+        techniques=("sequential", "CORO"),
+        loads=(0.5, 2.0),
+        table_bytes=1 << 20,
+        n_requests=160,
+        fault_profile="cluster-chaos",
+        config=_planet_config(n_nodes=4, n_shards=1, quick=True),
+        interconnect="planet",
+        n_users=50_000,
+    )
+)
+
+register_scenario(
+    Scenario(
+        name="cluster-steady",
+        description=(
+            "Four routed nodes at comfortable Poisson load with no "
+            "chaos: the interconnect-and-routing overhead floor, and "
+            "the baseline the planet chaos numbers are read against."
+        ),
+        arrival_kind="poisson",
+        techniques=("sequential", "CORO"),
+        loads=(0.6, 1.2),
+        table_bytes=2 << 20,
+        n_requests=240,
+        config=ServiceConfig(
+            max_batch=24,
+            max_wait_cycles=3000,
+            queue_capacity=96,
+            overload_policy="reject",
+            n_shards=2,
+            slo_cycles=30_000,
+            n_nodes=4,
+            replication=2,
+        ),
+        interconnect="planet",
+        n_users=200_000,
     )
 )

@@ -6,11 +6,11 @@ cycle domain as the execution engine. Requests arrive via an
 :class:`~repro.service.admission.AdmissionController` bounds the waiting
 room; the :class:`~repro.service.coalescer.Coalescer` forms groups; each
 group dispatches through the executor registry onto the least-loaded of
-``n_shards`` engine shards (private L1/L2/TLB, shared LLC — one
-:class:`~repro.sim.multicore.MultiCoreSystem` under the hood). The
-executor charges exactly the cycles the offline bulk path charges, so
-the serving layer's latency numbers sit on the same calibrated cost
-model as every figure in the repo.
+a node's ``n_shards`` engine shards (private L1/L2/TLB, shared LLC — one
+:class:`~repro.sim.multicore.MultiCoreSystem` per node). The executor
+charges exactly the cycles the offline bulk path charges, so the
+serving layer's latency numbers sit on the same calibrated cost model
+as every figure in the repo.
 
 Event loop invariant: simulated time advances to the earliest of the
 next arrival, the next due retry, the next pending point fault, and the
@@ -18,6 +18,23 @@ next feasible dispatch (batch trigger *and* an available shard);
 arrivals at or before any other event are admitted first so they can
 still join the batch. Shed requests (overload policy ``"shed"``) run
 ungrouped on a dedicated sequential overflow engine.
+
+**Nodes.** A single-node server is the ``n_nodes == 1`` case of one
+fleet. With several nodes, each node is its own memory domain (private
+DRAM and LLC), stitched together by a :class:`~repro.cluster.topology.
+ClusterTopology` interconnect and a consistent-hash
+:class:`~repro.cluster.routing.ClusterRouter`: each coalesced batch
+splits by the *primary replica* of every probe key (against the nodes
+alive at the batch trigger), and each per-node group dispatches onto
+that node's least-loaded shard. An answer served away from its
+request's home node charges the topology's tier cost on the way back —
+execution cycles from the request's point of view, so the latency
+anatomy (``queue_wait + batch_wait + execution == latency``) holds.
+Hedges target the batch's other replica nodes; node-scope faults are
+lowered onto the node's shard range. With one node the whole batch is
+the one group: no router call, no queue peek. Per-node batch and
+completion counters and interconnect crossings live in a ``cluster.*``
+metrics namespace beside the ``service.*`` tree the reports read.
 
 **Fault injection** (optional, via a :class:`~repro.faults.schedule.
 FaultSchedule`): stall/crash windows delay dispatch; a crash landing
@@ -47,10 +64,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.cluster.routing import ClusterRouter, HashRing
+from repro.cluster.topology import INTERCONNECT_TIERS, ClusterTopology
 from repro.config import HASWELL, ArchSpec
 from repro.control import AdaptiveController, ControllerConfig
 from repro.errors import ConfigurationError, SimulationError
-from repro.faults.events import FAULT_KINDS
+from repro.faults.events import (
+    FAULT_KINDS,
+    LatencySpike,
+    NodeCrash,
+    NodeSlow,
+    ShardCrash,
+)
 from repro.faults.injector import FaultInjector
 from repro.faults.schedule import FaultSchedule
 from repro.interleaving.executor import BulkLookup, get_executor
@@ -72,7 +97,6 @@ __all__ = [
     "ServiceConfig",
     "ServiceReport",
     "ServiceServer",
-    "percentile",
 ]
 
 #: The SLO percentiles every report carries.
@@ -102,15 +126,6 @@ DEGRADATION_POLICIES = ("off", "adaptive")
 REQUEST_KINDS = ("lookup", "plan")
 
 
-def percentile(sorted_values: list, q: float):
-    """Nearest-rank percentile of an ascending-sorted list.
-
-    Kept as a re-export for compatibility; the implementation is the
-    repo-wide :func:`repro.obs.hist.nearest_rank`.
-    """
-    return nearest_rank(sorted_values, q)
-
-
 @dataclass(frozen=True)
 class ServiceConfig:
     """Tuning of one serving run (technique, batching, admission, SLO)."""
@@ -125,6 +140,7 @@ class ServiceConfig:
     #: Token-bucket refill rate; ``None`` disables rate limiting.
     rate_limit_per_kcycle: float | None = None
     rate_limit_burst: int = 32
+    #: Engine shards per node.
     n_shards: int = 2
     #: Per-shard untimed lookups before serving starts (warm caches).
     warmup_requests: int = 32
@@ -159,10 +175,21 @@ class ServiceConfig:
     #: adaptive control plane; ``None`` (the default) keeps the server
     #: bit-identical to the pre-control code path.
     controller: ControllerConfig | None = None
+    #: Nodes in the fleet, each its own memory domain of ``n_shards``
+    #: shards; 1 = one machine, no routing and no interconnect.
+    n_nodes: int = 1
+    #: Replicas per key on the consistent-hash ring (at most ``n_nodes``).
+    replication: int = 1
 
     def __post_init__(self) -> None:
         if self.n_shards < 1:
             raise ConfigurationError("server needs at least one shard")
+        if self.n_nodes < 1:
+            raise ConfigurationError("a cluster needs at least one node")
+        if not 1 <= self.replication <= self.n_nodes:
+            raise ConfigurationError(
+                f"replication {self.replication} outside [1, {self.n_nodes}]"
+            )
         if self.warmup_requests < 0:
             raise ConfigurationError("warmup_requests cannot be negative")
         if not 0.0 < self.slo_target < 1.0:
@@ -279,7 +306,7 @@ class ServiceReport:
         return int(self.metrics.snapshot()["service"]["queue_depth"]["peak"])
 
     def latency_percentiles(self) -> dict[str, int]:
-        return {f"p{q}": int(percentile(self.latencies, q)) for q in PERCENTILES}
+        return {f"p{q}": int(nearest_rank(self.latencies, q)) for q in PERCENTILES}
 
     def mean_decomposition(self) -> dict[str, float]:
         """Mean cycles per completed request, by serving phase."""
@@ -306,6 +333,48 @@ class ServiceReport:
     def mean_batch_size(self) -> float:
         batches = self.counters["batches"]
         return self.completed / batches if batches else 0.0
+
+    # ------------------------------------------------------------------
+    # Per-node accounting (the ``cluster.*`` metrics namespace)
+    # ------------------------------------------------------------------
+
+    def _cluster_tree(self) -> dict:
+        return self.metrics.snapshot().get("cluster", {})
+
+    def _per_lane(self, counter: str) -> dict[str, int]:
+        tree = self._cluster_tree()
+        lanes = [f"node{node}" for node in range(self.config.n_nodes)]
+        return {
+            lane: int(tree.get(lane, {}).get(counter, 0))
+            for lane in (*lanes, "overflow")
+        }
+
+    def node_batches(self) -> dict[str, int]:
+        """Batches served per lane (every node, plus the overflow lane).
+
+        Sums to ``counters["batches"]`` — pinned by the
+        ``repro.cluster/1`` schema checker.
+        """
+        return self._per_lane("batches")
+
+    def node_completed(self) -> dict[str, int]:
+        """Batch-completed requests per lane; sums to ``completed``."""
+        return self._per_lane("completed")
+
+    def crossings(self) -> dict[str, int]:
+        """Answered requests per interconnect tier crossed on return."""
+        tree = self._cluster_tree().get("crossings", {})
+        return {tier: int(tree.get(tier, 0)) for tier in INTERCONNECT_TIERS}
+
+    @property
+    def interconnect_cycles(self) -> int:
+        """Total cycles charged to cross-node answer movement."""
+        return int(self._cluster_tree().get("interconnect_cycles", 0))
+
+    @property
+    def cross_node_hedges(self) -> int:
+        """Hedges that targeted a replica on another node."""
+        return int(self._cluster_tree().get("cross_node_hedges", 0))
 
     # ------------------------------------------------------------------
     # Exemplars and SLO burn accounting
@@ -378,7 +447,8 @@ class _Leg:
 
 
 class ServiceServer:
-    """One table, one technique, N engine shards, simulated online time."""
+    """One table, one technique, ``n_nodes`` x ``n_shards`` engine shards,
+    simulated online time."""
 
     def __init__(
         self,
@@ -389,12 +459,29 @@ class ServiceServer:
         seed: int = 0,
         faults: FaultSchedule | None = None,
         tracer=NULL_REQUEST_TRACER,
+        topology: ClusterTopology | None = None,
     ) -> None:
+        if topology is None:
+            topology = (
+                ClusterTopology.single()
+                if config.n_nodes == 1
+                else ClusterTopology.planet(config.n_nodes)
+            )
+        if topology.n_nodes != config.n_nodes:
+            raise ConfigurationError(
+                f"topology has {topology.n_nodes} nodes, config asks for "
+                f"{config.n_nodes}"
+            )
         self.table = table
         self.config = config
         self.arch = arch
         self.seed = seed
         self.tracer = tracer
+        self.topology = topology
+        self.router = ClusterRouter(HashRing(config.n_nodes), config.replication)
+        #: Home node of each request by arrival index (``None`` = every
+        #: answer is served in place); set per :meth:`serve` call.
+        self._homes: list[int] | None = None
         self.executor = get_executor(config.technique)
         self.group_size = config.group_size or self.executor.default_group_size
         #: Report label: the *configured* technique, captured before any
@@ -427,7 +514,19 @@ class ServiceServer:
         }
         self._shed_hist = self.metrics.histogram("service.latency.shed_e2e")
 
-        self._build_shards(arch, seed)
+        # One MultiCoreSystem per node; shards concatenate globally.
+        # Node 0 seeds its engines ``seed + local_index``, node k from
+        # ``seed + k * n_shards``.
+        per_node = config.n_shards
+        self.systems = [MultiCoreSystem(per_node, arch) for _ in range(config.n_nodes)]
+        self.shards: list[_Shard] = []
+        self._node_shards: list[range] = []
+        for node, system in enumerate(self.systems):
+            base = len(self.shards)
+            self.shards.extend(
+                _Shard(engine) for engine in system.engines(seed + node * per_node)
+            )
+            self._node_shards.append(range(base, base + per_node))
         # The overflow lane: its own engine over its own memory, so shed
         # traffic degrades its own latency rather than the batched path's.
         # Fault schedules deliberately cannot target it.
@@ -435,10 +534,12 @@ class ServiceServer:
 
         # Control-plane actuation points. With no controller these stay
         # frozen at their configured values, so dispatch planning reads
-        # exactly what it read before the control plane existed.
+        # exactly what it read before the control plane existed. Shard
+        # consolidation assumes one routing-free shard pool, so only a
+        # one-node server offers it.
         self._active_shards = len(self.shards)
         self._overflow_armed = config.overflow_fallback
-        self._consolidate_ok = True
+        self._consolidate_ok = config.n_nodes == 1
         self._controller = (
             AdaptiveController(config.controller)
             if config.controller is not None
@@ -451,7 +552,11 @@ class ServiceServer:
         self._injector: FaultInjector | None = None
         self._jitter_rng = None
         if faults:
-            self._injector = self._make_injector(faults)
+            self._injector = FaultInjector(
+                self._lower_schedule(faults),
+                [memory for system in self.systems for memory in system.memories],
+                node_l3s=[system.shared_l3 for system in self.systems],
+            )
             self._jitter_rng = faults.jitter_rng()
             if self.tracer.enabled:
                 self.tracer.record_schedule(faults)
@@ -461,33 +566,77 @@ class ServiceServer:
         self._warm_up()
 
     # ------------------------------------------------------------------
-    # Construction seams (the cluster layer overrides these)
+    # Nodes: fault lowering, lanes
     # ------------------------------------------------------------------
 
-    def _build_shards(self, arch: ArchSpec, seed: int) -> None:
-        """Materialise the engine shards behind one shared LLC.
+    def _lower_schedule(self, faults: FaultSchedule) -> FaultSchedule:
+        """Translate node-scope events into per-shard events.
 
-        ``ClusterServer`` overrides this to build one
-        :class:`MultiCoreSystem` per node and concatenate their shards.
+        A :class:`NodeCrash` becomes a :class:`ShardCrash` on every
+        shard the node hosts; a :class:`NodeSlow` becomes a
+        :class:`LatencySpike` per shard. Schedules without node events
+        pass through *unchanged* (same object), and the lowered
+        schedule keeps the original seed, so the retry-jitter stream is
+        identical either way.
         """
-        self.system = MultiCoreSystem(self.config.n_shards, arch)
-        self.shards = [
-            _Shard(engine) for engine in self.system.engines(seed)
-        ]
-
-    def _make_injector(self, faults: FaultSchedule) -> FaultInjector:
-        """Build the fault injector over this server's memory domains."""
-        return FaultInjector(
-            faults, self.system.memories, shared_l3=self.system.shared_l3
+        events = []
+        changed = False
+        for event in faults.events:
+            if isinstance(event, NodeCrash):
+                changed = True
+                for node in self._nodes_hit(event):
+                    events.extend(
+                        ShardCrash(at=event.at, shard=idx, duration=event.duration)
+                        for idx in self._node_shards[node]
+                    )
+            elif isinstance(event, NodeSlow):
+                changed = True
+                for node in self._nodes_hit(event):
+                    events.extend(
+                        LatencySpike(
+                            at=event.at,
+                            shard=idx,
+                            duration=event.duration,
+                            extra_latency=event.extra_latency,
+                        )
+                        for idx in self._node_shards[node]
+                    )
+            else:
+                events.append(event)
+        if not changed:
+            return faults
+        return FaultSchedule(
+            events=tuple(events),
+            seed=faults.seed,
+            horizon=faults.horizon,
+            profile=faults.profile,
         )
 
+    def _nodes_hit(self, event) -> range | list[int]:
+        """Nodes a node-scope event targets (out-of-range = no-op)."""
+        if event.node is None:
+            return range(self.config.n_nodes)
+        if 0 <= event.node < self.config.n_nodes:
+            return [event.node]
+        return []
+
+    def _node_of_shard(self, shard_index: int) -> int:
+        return shard_index // self.config.n_shards
+
     def _lane_name(self, shard_index: int) -> str:
-        """Exemplar-histogram lane name for a shard."""
-        return f"shard{shard_index}"
+        """Exemplar-histogram lane name: ``shard{i}`` on one node,
+        ``n{node}/s{local}`` on many."""
+        if self.config.n_nodes == 1:
+            return f"shard{shard_index}"
+        per_node = self.config.n_shards
+        return f"n{shard_index // per_node}/s{shard_index % per_node}"
 
     def _lane_tag(self, shard_index: int):
-        """Request-trace attempt lane tag for a shard."""
-        return shard_index
+        """Request-trace attempt lane tag: the shard index on one node,
+        the lane name on many."""
+        if self.config.n_nodes == 1:
+            return shard_index
+        return self._lane_name(shard_index)
 
     # ------------------------------------------------------------------
     # Warm-up
@@ -571,12 +720,18 @@ class ServiceServer:
     # The event loop
     # ------------------------------------------------------------------
 
-    def serve(self, arrivals: ArrivalProcess, values) -> ServiceReport:
+    def serve(
+        self, arrivals: ArrivalProcess, values, homes: list[int] | None = None
+    ) -> ServiceReport:
         """Drive the arrival process to exhaustion; return the report.
 
         ``values`` supplies the probe value of each request by arrival
-        index (any indexable; typically a seeded numpy draw).
+        index (any indexable; typically a seeded numpy draw). ``homes``
+        optionally pins each request (by arrival index) to a home node
+        for interconnect accounting — the planet scenarios derive it
+        from the arrival process's region stream.
         """
+        self._homes = homes
         requests: list[Request] = []
         now = 0
         makespan = 0
@@ -658,7 +813,6 @@ class ServiceServer:
         return self._make_report(requests, makespan)
 
     def _make_report(self, requests: list[Request], makespan: int) -> ServiceReport:
-        """Assemble the run's report (the cluster layer widens this)."""
         return ServiceReport(
             technique=self._technique_name,
             config=self.config,
@@ -677,21 +831,41 @@ class ServiceServer:
         self._controller.finish(makespan, self)
         return self._controller.summary()
 
-    def _plan_dispatch(self) -> tuple[int, int, int | None, bool] | None:
+    def _plan_dispatch(self):
         """Plan the next feasible batch launch.
 
-        Returns ``(start, trigger, shard_index, fault_delayed)`` — or
-        ``None`` while nothing waits. ``shard_index`` is ``None`` when
-        the batch should fall back to the overflow lane (every shard is
-        fault-stalled past the lane's availability). Without an
-        injector this reduces exactly to "least-loaded shard, start at
-        ``max(trigger, busy_until)``".
+        Returns ``(start, trigger, groups)`` — or ``None`` while nothing
+        waits — where ``start`` is the earliest group's start and each
+        :class:`_GroupPlan` places one node's slice of the batch. With
+        one node the whole batch is the one group (``members=None``):
+        no router call and no queue peek. With several, the batch the
+        coalescer will pop splits by each key's primary replica among
+        the nodes alive at the trigger.
         """
         trigger = self.coalescer.next_trigger()
         if trigger is None:
             return None
-        best_key: tuple[int, int, int] | None = None
-        for idx in range(self._active_shards):
+        if self.config.n_nodes == 1:
+            groups = [self._plan_group(range(self._active_shards), None, trigger)]
+        else:
+            alive = self._alive_nodes(trigger)
+            grouped: dict[int, list[Request]] = {}
+            for request in self._peek_batch():
+                node = self.router.primary(int(request.value), alive=alive)
+                grouped.setdefault(node, []).append(request)
+            groups = [
+                self._plan_group(self._node_shards[node], grouped[node], trigger)
+                for node in sorted(grouped)
+            ]
+        return (min(group.start for group in groups), trigger, groups)
+
+    def _plan_group(self, shards, members, trigger: int) -> _GroupPlan:
+        """Least-loaded shard among ``shards``, start at ``max(trigger,
+        busy_until)`` pushed past any outage; the group falls back to
+        the overflow lane when that is sooner than a fault-delayed
+        shard."""
+        best_key = None
+        for idx in shards:
             shard = self.shards[idx]
             start = max(trigger, shard.busy_until)
             if self._injector is not None:
@@ -700,31 +874,68 @@ class ServiceServer:
             if best_key is None or key < best_key:
                 best_key = key
         start, _, shard_index = best_key
-        fault_delayed = start > max(
-            trigger, self.shards[shard_index].busy_until
-        )
-        if (
-            fault_delayed
-            and self._overflow_armed
-            and self._injector is not None
-        ):
+        fault_delayed = start > max(trigger, self.shards[shard_index].busy_until)
+        if fault_delayed and self._overflow_armed and self._injector is not None:
             overflow_start = max(trigger, self._overflow.busy_until)
             if overflow_start < start:
-                return (overflow_start, trigger, None, True)
-        return (start, trigger, shard_index, fault_delayed)
+                return _GroupPlan(None, overflow_start, True, members)
+        return _GroupPlan(shard_index, start, fault_delayed, members)
+
+    def _alive_nodes(self, at: int) -> frozenset | None:
+        """Nodes able to start work at ``at`` (``None`` = no routing
+        constraint: either chaos is off or literally everything is down,
+        and a fully-dead fleet routes as if healthy — dispatch then
+        waits out the outage)."""
+        if self._injector is None:
+            return None
+        alive = frozenset(
+            node
+            for node in range(self.config.n_nodes)
+            if any(
+                self._injector.available_from(idx, at) <= at
+                for idx in self._node_shards[node]
+            )
+        )
+        return alive or None
+
+    def _peek_batch(self) -> list[Request]:
+        """The exact prefix ``coalescer.take`` will pop this iteration.
+
+        Safe to pre-read: the event loop never admits or requeues
+        between planning a dispatch and running it."""
+        queue = self.admission.queue
+        return [queue[i] for i in range(min(self.config.max_batch, len(queue)))]
 
     def _run_batch(self, now: int, plan, arrivals: ArrivalProcess) -> int:
         """Launch the planned batch; returns its resolution cycle."""
-        _, trigger, shard_index, fault_delayed = plan
+        _, trigger, groups = plan
         batch = self.coalescer.take(trigger)
-        if fault_delayed:
+        if any(group.fault_delayed for group in groups):
             self._count("outage_delays")
         batch = self._expire_timeouts(batch, now, arrivals)
         if not batch:
             return now
-        if shard_index is None:
-            return self._run_fallback(batch, now, arrivals)
-        return self._dispatch_group(batch, trigger, shard_index, now, arrivals)
+        alive_ids = {request.index for request in batch}
+        resolved = now
+        for group in groups:
+            if group.members is None:
+                members = batch
+            else:
+                members = [r for r in group.members if r.index in alive_ids]
+                if not members:
+                    continue
+            # The loop woke at the *earliest* group's start; later
+            # groups keep their own planned start (it already accounts
+            # for that node's outage windows).
+            group_now = max(now, group.start)
+            if group.shard_index is None:
+                done = self._run_fallback(members, group_now, arrivals)
+            else:
+                done = self._dispatch_group(
+                    members, trigger, group.shard_index, group_now, arrivals
+                )
+            resolved = max(resolved, done)
+        return resolved
 
     def _expire_timeouts(
         self, batch: list[Request], now: int, arrivals: ArrivalProcess
@@ -767,10 +978,10 @@ class ServiceServer:
             and start - trigger > self.config.hedge_after_cycles
         ):
             among = self._hedge_candidates(shard_index, batch)
-            # A restricted candidate set (cluster layer) may leave no
-            # legal secondary; the unrestricted default always has one.
-            if among is None or any(idx != shard_index for idx in among):
-                hedge_index = self._plan_hedge(shard_index, start, among=among)
+            # An unreplicated key on a one-shard node has no legal
+            # secondary.
+            if any(idx != shard_index for idx in among):
+                hedge_index = self._plan_hedge(shard_index, start, among)
                 self._count("hedges")
                 hedge_start = max(start, self.shards[hedge_index].busy_until)
                 if self._injector is not None:
@@ -795,10 +1006,11 @@ class ServiceServer:
             self._count("hedge_wins")
         resolved = winner.completion
         self._batches.inc()
-        self._on_batch_served(winner, batch)
+        served_on = self._node_of_shard(winner.shard_index)
+        self._on_batch_served(f"node{served_on}", batch)
         lane = self._lane_name(winner.shard_index)
         for request in batch:
-            completion = self._member_completion(request, winner)
+            completion = winner.completion + self._crossing(request, served_on)
             request.dispatch = winner.start
             request.completion = completion
             self._completed.inc()
@@ -811,28 +1023,39 @@ class ServiceServer:
             resolved = max(resolved, completion)
         return resolved
 
-    def _on_batch_served(self, winner: "_Leg | None", batch: list[Request]) -> None:
-        """One batch just got answers (``winner is None`` = overflow lane).
+    def _on_batch_served(self, lane: str, batch: list[Request]) -> None:
+        """Per-node accounting of one answered batch (``"node{i}"`` or
+        ``"overflow"``)."""
+        self.metrics.counter(f"cluster.{lane}.batches").inc()
+        self.metrics.counter(f"cluster.{lane}.completed").inc(len(batch))
 
-        A no-op here; the cluster layer hangs its per-node accounting on
-        this seam.
-        """
+    def _hedge_candidates(self, primary: int, batch: list[Request]) -> list[int]:
+        """Shard indexes a hedge may target: the batch's other replica
+        nodes when keys are replicated, else the primary's own node."""
+        primary_node = self._node_of_shard(primary)
+        if self.config.replication > 1:
+            nodes: set[int] = set()
+            for request in batch:
+                nodes.update(self.router.replicas(int(request.value)))
+            nodes.discard(primary_node)
+            if nodes:
+                self.metrics.counter("cluster.cross_node_hedges").inc()
+                return [
+                    idx for node in sorted(nodes) for idx in self._node_shards[node]
+                ]
+        # Unreplicated keys can only be re-probed where they live.
+        return list(self._node_shards[primary_node])
 
-    def _hedge_candidates(self, primary: int, batch: list[Request]):
-        """Shard indexes a hedge may target; ``None`` = any other shard.
-
-        The cluster layer narrows this to the batch's replica nodes so a
-        hedge lands where the keys actually live.
-        """
-        return None
-
-    def _member_completion(self, request: Request, winner: _Leg) -> int:
-        """Completion cycle of one batch member on the winning leg.
-
-        The cluster layer adds the interconnect cost of returning the
-        answer to the request's home node.
-        """
-        return winner.completion
+    def _crossing(self, request: Request, served_on: int) -> int:
+        """Interconnect cycles for returning one answer from node
+        ``served_on`` to the request's home node (counted by tier)."""
+        home = served_on if self._homes is None else self._homes[request.index]
+        tier = self.topology.tier(home, served_on)
+        cost = self.topology.costs.for_tier(tier)
+        self.metrics.counter(f"cluster.crossings.{tier}").inc()
+        if cost:
+            self.metrics.counter("cluster.interconnect_cycles").inc(cost)
+        return cost
 
     def _trace_attempts(self, batch, legs: list[_Leg], winner: _Leg | None) -> None:
         """Record every dispatch leg of one batch as attempt spans.
@@ -943,16 +1166,11 @@ class ServiceServer:
         shard.busy_until = completion
         return _Leg(shard_index, start, completion, None, group)
 
-    def _plan_hedge(self, primary: int, start: int, among=None) -> int:
-        """Pick the secondary shard for a hedged dispatch.
-
-        ``among`` restricts the candidate shard indexes (the cluster
-        layer passes the batch's replica shards); ``None`` considers
-        every shard but the primary.
-        """
-        candidates = range(len(self.shards)) if among is None else among
+    def _plan_hedge(self, primary: int, start: int, among: list[int]) -> int:
+        """Pick the secondary shard for a hedged dispatch among the
+        candidate shard indexes (never the primary)."""
         best_key = None
-        for idx in candidates:
+        for idx in among:
             if idx == primary:
                 continue
             shard = self.shards[idx]
@@ -1044,7 +1262,7 @@ class ServiceServer:
         completion = start + cycles
         lane.busy_until = completion
         self._batches.inc()
-        self._on_batch_served(None, batch)
+        self._on_batch_served("overflow", batch)
         if self.tracer.enabled:
             self.tracer.on_attempt(
                 batch,
@@ -1093,3 +1311,15 @@ class ServiceServer:
                 winner=True,
             )
         return completion
+
+
+@dataclass
+class _GroupPlan:
+    """One node's slice of a planned batch dispatch."""
+
+    #: ``None`` = the slice falls back to the overflow lane.
+    shard_index: int | None
+    start: int
+    fault_delayed: bool
+    #: The slice's requests; ``None`` = the whole batch (one node).
+    members: list[Request] | None

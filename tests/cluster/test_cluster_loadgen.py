@@ -2,16 +2,8 @@
 
 import dataclasses
 
-import pytest
-
-from repro.cluster.loadgen import (
-    CLUSTER_SCHEMA,
-    home_nodes,
-    run_cluster_scenario,
-    user_keys,
-)
+from repro.cluster.loadgen import CLUSTER_SCHEMA, home_nodes, user_keys
 from repro.cluster.topology import ClusterTopology
-from repro.errors import WorkloadError
 from repro.service.arrivals import make_arrivals
 from repro.service.loadgen import run_scenario
 from repro.service.scenarios import get_scenario
@@ -53,7 +45,7 @@ class TestUserKeys:
 class TestHomeNodes:
     def test_diurnal_regions_map_to_region_node_groups(self):
         scenario = _small("planet-quick")
-        topology = ClusterTopology.planet(scenario.n_nodes)
+        topology = ClusterTopology.planet(scenario.config.n_nodes)
         arrivals = make_arrivals(
             "diurnal",
             scenario.n_requests,
@@ -72,7 +64,7 @@ class TestHomeNodes:
 
     def test_geography_free_arrivals_round_robin_the_fleet(self):
         scenario = _small("cluster-steady")
-        topology = ClusterTopology.planet(scenario.n_nodes)
+        topology = ClusterTopology.planet(scenario.config.n_nodes)
         arrivals = make_arrivals(
             "poisson", scenario.n_requests, seed=0, rate_per_kcycle=2.0
         )
@@ -85,18 +77,18 @@ class TestHomeNodes:
 class TestClusterDocuments:
     def test_same_seed_bit_identical_clean(self):
         scenario = _small("cluster-steady")
-        assert run_cluster_scenario(scenario, seed=3) == run_cluster_scenario(
+        assert run_scenario(scenario, seed=3) == run_scenario(
             scenario, seed=3
         )
 
     def test_same_seed_bit_identical_under_chaos(self):
         scenario = _small("planet-quick", loads=(1.0,))
-        assert run_cluster_scenario(scenario, seed=1) == run_cluster_scenario(
+        assert run_scenario(scenario, seed=1) == run_scenario(
             scenario, seed=1
         )
 
     def test_document_shape(self):
-        steady = run_cluster_scenario(_small("cluster-steady"), seed=0)
+        steady = run_scenario(_small("cluster-steady"), seed=0)
         assert steady["schema"] == CLUSTER_SCHEMA
         assert steady["kind"] == "cluster"
         assert "fault_profile" not in steady
@@ -107,16 +99,6 @@ class TestClusterDocuments:
         assert sum(point["node_batches"].values()) == point["batches"]
         assert sum(point["node_completed"].values()) == point["completed"]
 
-        chaotic = run_cluster_scenario(_small("planet-quick"), seed=0)
+        chaotic = run_scenario(_small("planet-quick"), seed=0)
         assert chaotic["fault_profile"] == "cluster-chaos"
         assert chaotic["points"][0]["fault_events"] > 0
-
-    def test_service_entry_point_delegates(self):
-        scenario = _small("cluster-steady")
-        assert run_scenario(scenario, seed=2) == run_cluster_scenario(
-            scenario, seed=2
-        )
-
-    def test_non_cluster_scenario_rejected(self):
-        with pytest.raises(WorkloadError):
-            run_cluster_scenario("quick")

@@ -1,11 +1,10 @@
-"""ClusterServer: degenerate bit-identity, node-fault lowering, accounting."""
+"""Multi-node serving: one-node identity, node-fault lowering, accounting."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.cluster.server import ClusterConfig, ClusterReport, ClusterServer
 from repro.cluster.topology import ClusterTopology
 from repro.config import scaled
 from repro.errors import ConfigurationError
@@ -35,16 +34,16 @@ RESILIENT = dict(
 )
 
 
-def _serve(server_cls, config, *, faults=None, n=120, seed=5, homes=None):
+def _serve(config, *, faults=None, n=120, seed=5, topology=None, homes=None):
     allocator = AddressSpaceAllocator(page_size=ARCH.page_size)
     table = make_table(allocator, "serve/dict", 1 << 20)
     rng = np.random.RandomState(seed + 11)
     values = [int(v) for v in rng.randint(0, table.size, n)]
     arrivals = make_arrivals("poisson", n, seed, rate_per_kcycle=2.0)
-    server = server_cls(table, config, arch=ARCH, seed=seed, faults=faults)
-    if server_cls is ClusterServer:
-        return server.serve(arrivals, values, homes=homes)
-    return server.serve(arrivals, values)
+    server = ServiceServer(
+        table, config, arch=ARCH, seed=seed, faults=faults, topology=topology
+    )
+    return server.serve(arrivals, values, homes=homes)
 
 
 def _schedule(faults, seed=5):
@@ -52,30 +51,28 @@ def _schedule(faults, seed=5):
 
 
 class TestDegenerateIdentity:
-    """1 node, R=1, zero interconnect == the plain service server."""
+    """The interconnect path at one node == the plain one-node server."""
 
     @pytest.mark.parametrize("faults", [None, "chaos-quick"])
     def test_bit_identical_to_service_server(self, faults):
-        base = _serve(
-            ServiceServer, ServiceConfig(**RESILIENT), faults=_schedule(faults)
-        )
+        config = ServiceConfig(**RESILIENT)
+        base = _serve(config, faults=_schedule(faults))
         cluster = _serve(
-            ClusterServer,
-            ClusterConfig(**RESILIENT, n_nodes=1, replication=1),
+            config,
             faults=_schedule(faults),
+            topology=ClusterTopology.single(),
+            homes=[0] * 120,
         )
-        assert isinstance(cluster, ClusterReport)
         assert cluster.latencies == base.latencies
         assert cluster.counters == base.counters
         assert cluster.resilience == base.resilience
         assert cluster.exemplars.as_dict() == base.exemplars.as_dict()
+        assert cluster.crossings() == base.crossings()
         for mine, theirs in zip(cluster.requests, base.requests):
             assert dataclasses.astuple(mine) == dataclasses.astuple(theirs)
 
     def test_degenerate_report_has_empty_cluster_accounting(self):
-        report = _serve(
-            ClusterServer, ClusterConfig(**RESILIENT, n_nodes=1, replication=1)
-        )
+        report = _serve(ServiceConfig(**RESILIENT))
         assert report.interconnect_cycles == 0
         assert report.cross_node_hedges == 0
         assert report.crossings()["local"] == report.completed
@@ -86,9 +83,9 @@ class TestNodeFaultLowering:
     def _server(self, schedule):
         allocator = AddressSpaceAllocator(page_size=ARCH.page_size)
         table = make_table(allocator, "serve/dict", 1 << 20)
-        return ClusterServer(
+        return ServiceServer(
             table,
-            ClusterConfig(**RESILIENT, n_nodes=2, replication=2),
+            ServiceConfig(**RESILIENT, n_nodes=2, replication=2),
             arch=ARCH,
             seed=0,
             faults=schedule,
@@ -135,9 +132,9 @@ class TestNodeFaultLowering:
         assert server._injector.schedule is schedule
 
     def test_empty_schedule_is_bit_identical_to_no_faults(self):
-        config = ClusterConfig(**RESILIENT, n_nodes=2, replication=2)
-        plain = _serve(ClusterServer, config, faults=None)
-        empty = _serve(ClusterServer, config, faults=FaultSchedule(events=()))
+        config = ServiceConfig(**RESILIENT, n_nodes=2, replication=2)
+        plain = _serve(config, faults=None)
+        empty = _serve(config, faults=FaultSchedule(events=()))
         assert plain.latencies == empty.latencies
         assert plain.counters == empty.counters
         assert plain.resilience == empty.resilience
@@ -145,8 +142,8 @@ class TestNodeFaultLowering:
 
 class TestClusterAccounting:
     def test_node_counters_cover_fleet_and_sum_to_totals(self):
-        config = ClusterConfig(**RESILIENT, n_nodes=3, replication=2)
-        report = _serve(ClusterServer, config)
+        config = ServiceConfig(**RESILIENT, n_nodes=3, replication=2)
+        report = _serve(config)
         batches = report.node_batches()
         completed = report.node_completed()
         assert set(batches) == {"node0", "node1", "node2", "overflow"}
@@ -154,14 +151,14 @@ class TestClusterAccounting:
         assert sum(completed.values()) == report.completed
 
     def test_homes_drive_interconnect_charges(self):
-        config = ClusterConfig(**RESILIENT, n_nodes=4, replication=2)
+        config = ServiceConfig(**RESILIENT, n_nodes=4, replication=2)
         topology = ClusterTopology.planet(4)
         allocator = AddressSpaceAllocator(page_size=ARCH.page_size)
         table = make_table(allocator, "serve/dict", 1 << 20)
         rng = np.random.RandomState(16)
         values = [int(v) for v in rng.randint(0, table.size, 120)]
         arrivals = make_arrivals("poisson", 120, 5, rate_per_kcycle=2.0)
-        server = ClusterServer(
+        server = ServiceServer(
             table, config, arch=ARCH, seed=5, topology=topology
         )
         homes = [i % 4 for i in range(120)]
@@ -174,13 +171,12 @@ class TestClusterAccounting:
     def test_replica_hedging_crosses_nodes(self):
         # Chaos + queueing on a replicated fleet must eventually hedge
         # onto a replica node (the cross-node path the PR adds).
-        config = ClusterConfig(
+        config = ServiceConfig(
             **{**RESILIENT, "hedge_after_cycles": 2000},
             n_nodes=4,
             replication=2,
         )
         report = _serve(
-            ClusterServer,
             config,
             faults=resolve_schedule(
                 "cluster-chaos", horizon=300_000, n_shards=4, seed=5
@@ -194,23 +190,17 @@ class TestClusterAccounting:
 class TestClusterConfigValidation:
     def test_replication_must_fit_the_fleet(self):
         with pytest.raises(ConfigurationError):
-            ClusterConfig(n_nodes=2, replication=3)
+            ServiceConfig(n_nodes=2, replication=3)
         with pytest.raises(ConfigurationError):
-            ClusterConfig(n_nodes=0)
+            ServiceConfig(n_nodes=0)
 
     def test_topology_must_match_the_config(self):
         allocator = AddressSpaceAllocator(page_size=ARCH.page_size)
         table = make_table(allocator, "serve/dict", 1 << 20)
         with pytest.raises(ConfigurationError):
-            ClusterServer(
+            ServiceServer(
                 table,
-                ClusterConfig(**RESILIENT, n_nodes=2, replication=2),
+                ServiceConfig(**RESILIENT, n_nodes=2, replication=2),
                 arch=ARCH,
                 topology=ClusterTopology.planet(4),
             )
-
-    def test_plain_service_config_rejected(self):
-        allocator = AddressSpaceAllocator(page_size=ARCH.page_size)
-        table = make_table(allocator, "serve/dict", 1 << 20)
-        with pytest.raises(ConfigurationError):
-            ClusterServer(table, ServiceConfig(**RESILIENT), arch=ARCH)

@@ -50,8 +50,8 @@ class TestClusterTopology:
         assert topo.tier(0, 1) == "numa"
         assert topo.tier(0, 2) == "cxl"
         assert topo.tier(6, 7) == "numa"
-        assert topo.cost(0, 1) == InterconnectCosts().numa_cycles
-        assert topo.cost(0, 2) == InterconnectCosts().cxl_cycles
+        assert topo.costs.for_tier(topo.tier(0, 1)) == InterconnectCosts().numa_cycles
+        assert topo.costs.for_tier(topo.tier(0, 2)) == InterconnectCosts().cxl_cycles
         assert topo.max_cost() == InterconnectCosts().cxl_cycles
 
     def test_tier_is_symmetric(self):

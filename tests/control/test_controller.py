@@ -18,7 +18,6 @@ import pathlib
 
 import pytest
 
-from repro.cluster import run_cluster_scenario
 from repro.control import (
     ACTION_NAMES,
     CONTROL_EVENT,
@@ -73,19 +72,15 @@ class TestControllerOffBitIdentity:
     """A server without a controller replays the pre-control goldens."""
 
     @pytest.mark.parametrize(
-        "scenario, golden, runner",
+        "scenario, golden",
         [
-            ("quick", "golden_quick_seed0.json", run_scenario),
-            ("chaos-quick", "golden_chaos_quick_seed0.json", run_scenario),
-            (
-                "planet-quick",
-                "golden_planet_quick_seed0.json",
-                run_cluster_scenario,
-            ),
+            ("quick", "golden_quick_seed0.json"),
+            ("chaos-quick", "golden_chaos_quick_seed0.json"),
+            ("planet-quick", "golden_planet_quick_seed0.json"),
         ],
     )
-    def test_controller_off_matches_golden(self, scenario, golden, runner):
-        doc = runner(scenario, seed=0)
+    def test_controller_off_matches_golden(self, scenario, golden):
+        doc = run_scenario(scenario, seed=0)
         recorded = json.loads((DATA / golden).read_text())
         assert doc == recorded
         assert "base_schema" not in doc
@@ -159,9 +154,7 @@ class TestClusterControl:
             scenario.config,
             controller=ControllerConfig(window_cycles=8_000),
         )
-        doc = run_cluster_scenario(
-            dataclasses.replace(scenario, config=config), seed=0
-        )
+        doc = run_scenario(dataclasses.replace(scenario, config=config), seed=0)
         assert doc["schema"] == CONTROL_SCHEMA
         assert doc["base_schema"] == "repro.cluster/1"
         for point in doc["points"]:

@@ -45,7 +45,8 @@ class _FakeL3:
 def make_injector(events, n_shards=2, shared_l3=None):
     schedule = FaultSchedule(events=tuple(events))
     memories = [_FakeMemory() for _ in range(n_shards)]
-    return FaultInjector(schedule, memories, shared_l3=shared_l3), memories
+    node_l3s = [shared_l3] if shared_l3 is not None else []
+    return FaultInjector(schedule, memories, node_l3s=node_l3s), memories
 
 
 class TestAvailability:

@@ -18,8 +18,7 @@ import warnings
 import pytest
 
 from repro import api
-from repro.cluster.scenarios import ClusterScenario
-from repro.errors import SpecError, WorkloadError
+from repro.errors import SpecError
 from repro.scenario import (
     ScenarioSpec,
     load_spec_file,
@@ -70,7 +69,9 @@ class TestRegistryRoundTrip:
         spec = ScenarioSpec.from_scenario(get_scenario("planet-quick"))
         assert spec.kind == "cluster"
         assert "interconnect" in spec.to_dict()
-        assert isinstance(spec.to_scenario(), ClusterScenario)
+        scenario = spec.to_scenario()
+        assert scenario.kind == "cluster"
+        assert scenario.config.n_nodes == 4
 
     def test_service_spec_omits_cluster_keys(self):
         record = ScenarioSpec.from_scenario(get_scenario("quick")).to_dict()
@@ -230,23 +231,15 @@ class TestShippedSpecs:
 
 
 class TestDeprecatedScenarioKeyword:
+    """The ``scenario=`` keyword is gone; the positional form is the API."""
+
     def test_run_slo_scenario_requires_a_reference(self):
-        with pytest.raises(WorkloadError, match="needs a scenario"):
+        with pytest.raises(TypeError, match="spec"):
             run_slo_scenario()
 
     def test_both_spec_and_scenario_rejected(self):
-        with pytest.raises(WorkloadError, match="deprecated"):
+        with pytest.raises(TypeError, match="scenario"):
             run_slo_scenario("quick", scenario="quick")
-
-    def test_api_serve_scenario_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match="serve"):
-            result = api.serve(scenario="quick")
-        assert result.doc["scenario"] == "quick"
-
-    def test_run_slo_scenario_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match="run_slo_scenario"):
-            doc = run_slo_scenario(scenario="chaos-quick")
-        assert doc["schema"] == "repro.slo/1"
 
     def test_positional_reference_does_not_warn(self):
         with warnings.catch_warnings():

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from repro.config import scaled
+from repro.obs.hist import nearest_rank
 from repro.service.arrivals import PoissonArrivals, make_arrivals
 from repro.service.loadgen import sequential_capacity
-from repro.service.server import ServiceConfig, ServiceServer, percentile
+from repro.service.server import ServiceConfig, ServiceServer
 from repro.sim.allocator import AddressSpaceAllocator
 from repro.workloads.generators import make_table
 
@@ -143,20 +144,20 @@ class TestClosedLoopIntegration:
 class TestReportAndPercentiles:
     def test_nearest_rank_percentiles(self):
         values = list(range(1, 101))  # 1..100
-        assert percentile(values, 50) == 50
-        assert percentile(values, 95) == 95
-        assert percentile(values, 99) == 99
-        assert percentile(values, 100) == 100
-        assert percentile([7], 99) == 7
-        assert percentile([], 50) == 0
+        assert nearest_rank(values, 50) == 50
+        assert nearest_rank(values, 95) == 95
+        assert nearest_rank(values, 99) == 99
+        assert nearest_rank(values, 100) == 100
+        assert nearest_rank([7], 99) == 7
+        assert nearest_rank([], 50) == 0
 
     def test_percentile_rejects_out_of_range_q(self):
         from repro.errors import SimulationError
 
         with pytest.raises(SimulationError):
-            percentile([1, 2], 0)
+            nearest_rank([1, 2], 0)
         with pytest.raises(SimulationError):
-            percentile([1, 2], 101)
+            nearest_rank([1, 2], 101)
 
     def test_report_surfaces_are_consistent(self, table, values):
         report = run_once(table, values)
