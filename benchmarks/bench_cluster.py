@@ -32,8 +32,7 @@ import statistics
 
 import pytest
 
-from repro.cluster import render_cluster_doc
-from repro.service import get_scenario, run_scenario
+from repro.service import get_scenario, render_service_doc, run_scenario
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 SCENARIO = "planet-quick"
@@ -79,7 +78,7 @@ def degradation_runs():
 
 def test_cluster_document_shape(benchmark, record_table, cluster_sweep):
     doc = benchmark.pedantic(lambda: cluster_sweep, rounds=1, iterations=1)
-    record_table("cluster_latency", render_cluster_doc(doc))
+    record_table("cluster_latency", render_service_doc(doc))
 
     assert doc["schema"] == "repro.cluster/1"
     assert doc["fault_profile"] == "cluster-chaos"

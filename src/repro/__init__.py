@@ -38,11 +38,12 @@ Layers (bottom-up):
   tumbling-window feedback controller inside the serving loop that
   switches technique, group size, batch deadline, and shard allocation
   from the exported signals, every decision a cycle-stamped event.
-* :mod:`repro.scenario` — the declarative scenario DSL: versioned
-  ``repro.scenario/1`` JSON/YAML documents parsed into a frozen
-  :class:`~repro.scenario.ScenarioSpec` whose ``kind`` (service or
-  cluster) is the one multi-node decision (``file:scenario.yaml`` works
-  wherever a registry name does).
+* :mod:`repro.scenario` — the one scenario type: a frozen
+  :class:`~repro.scenario.Scenario`, checked at construction, whose
+  ``kind`` (service or cluster) is the one multi-node decision and
+  whose ``from_dict``/``to_dict`` are the versioned ``repro.scenario/1``
+  JSON/YAML form (``file:scenario.yaml`` works wherever a registry name
+  does).
 * :mod:`repro.api` — the stable facade: :func:`~repro.api.
   run_experiment`, :func:`~repro.api.serve`, :func:`~repro.api.
   lookup_batch`, and :func:`~repro.api.inject_faults`, each returning
@@ -168,13 +169,7 @@ from repro.faults import (
     get_fault_profile,
 )
 from repro.control import AdaptiveController, ControllerConfig
-from repro.scenario import (
-    ScenarioSpec,
-    load_spec_file,
-    parse_spec_text,
-    resolve_scenario,
-    resolve_spec,
-)
+from repro.scenario import load_spec_file, parse_spec_text, resolve_scenario
 
 __version__ = "1.0.0"
 
@@ -279,9 +274,7 @@ __all__ = [
     "SpecError",
     "AdaptiveController",
     "ControllerConfig",
-    "ScenarioSpec",
     "load_spec_file",
     "parse_spec_text",
     "resolve_scenario",
-    "resolve_spec",
 ]

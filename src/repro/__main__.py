@@ -122,7 +122,6 @@ def _list_doc() -> dict:
         executor_names,
         get_executor,
     )
-    from repro.scenario import ScenarioSpec
     from repro.service.scenarios import SCENARIO_REGISTRY
 
     return {
@@ -138,8 +137,7 @@ def _list_doc() -> dict:
         ],
         "workload_kinds": list(WORKLOAD_KINDS),
         "scenarios": [
-            ScenarioSpec.from_scenario(scenario).to_dict()
-            for scenario in SCENARIO_REGISTRY.values()
+            scenario.to_dict() for scenario in SCENARIO_REGISTRY.values()
         ],
         "fault_profiles": [
             {"name": name, "description": get_fault_profile(name).description}
@@ -182,11 +180,11 @@ def _list_main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
 
     from repro.errors import SpecError, WorkloadError
-    from repro.scenario import resolve_spec
+    from repro.scenario import resolve_scenario
 
     if args.refs:
         try:
-            specs = [resolve_spec(ref).to_dict() for ref in args.refs]
+            specs = [resolve_scenario(ref).to_dict() for ref in args.refs]
         except (WorkloadError, SpecError) as error:
             print(f"list: {error}", file=sys.stderr)
             return 2

@@ -89,9 +89,7 @@ class ServeResult:
     @property
     def chaos(self) -> bool:
         """Whether a non-empty fault schedule shaped this run."""
-        from repro.service.loadgen import CHAOS_SCHEMA
-
-        return CHAOS_SCHEMA in (self.schema, self.doc.get("base_schema"))
+        return "fault_profile" in self.doc
 
     def point(self, technique: str, load_multiplier: float) -> dict:
         """The record for one (technique, load) pair."""
@@ -116,11 +114,6 @@ class ServeResult:
 @dataclass(frozen=True)
 class ClusterServeResult(ServeResult):
     """One cluster sweep: the ``repro.cluster/1`` document, typed."""
-
-    @property
-    def chaos(self) -> bool:
-        """Whether a non-empty fault schedule shaped this run."""
-        return "fault_profile" in self.doc
 
     @property
     def n_nodes(self) -> int:
@@ -328,9 +321,8 @@ def serve(
     """Run one serving scenario sweep (optionally fault-injected).
 
     ``spec`` accepts any scenario reference — a registry name, a
-    ``file:scenario.yaml`` path, a ``repro.scenario/1`` dict, a
-    :class:`~repro.scenario.ScenarioSpec`, or a built
-    :class:`~repro.service.scenarios.Scenario` — and resolves it via
+    ``file:scenario.yaml`` path, a ``repro.scenario/1`` dict, or a
+    built :class:`~repro.scenario.Scenario` — and resolves it via
     :func:`repro.scenario.resolve_scenario`. A ``kind: cluster``
     scenario (``planet``, ``planet-quick``, ``cluster-steady``, ...)
     returns a :class:`ClusterServeResult` with per-node accessors.
@@ -341,11 +333,13 @@ def serve(
     ``jobs``/``cache`` parallelise and memoise the per-(technique, load)
     points exactly as in :func:`run_experiment`.
     """
+    from repro.scenario import resolve_scenario
     from repro.service.loadgen import run_scenario
 
+    scenario = resolve_scenario(spec)
     with _perf_scope(jobs, cache):
-        doc = run_scenario(spec, seed=seed, faults=faults)
-    cls = ClusterServeResult if doc.get("kind") == "cluster" else ServeResult
+        doc = run_scenario(scenario, seed=seed, faults=faults)
+    cls = ClusterServeResult if scenario.kind == "cluster" else ServeResult
     return cls(scenario=doc["scenario"], schema=doc["schema"], doc=doc)
 
 

@@ -12,19 +12,13 @@ once there are several nodes:
   R-way replication and a router that splits coalesced batches by
   owning node.
 - :mod:`repro.cluster.loadgen` — the user-population keys and home-node
-  mapping ``kind: cluster`` scenarios serve with, and the renderer of
-  their ``repro.cluster/1`` documents.
+  mapping ``kind: cluster`` scenarios serve with.
 
 The planet scenarios are registered with the other built-ins in
 :mod:`repro.service.scenarios`.
 """
 
-from repro.cluster.loadgen import (
-    CLUSTER_SCHEMA,
-    home_nodes,
-    render_cluster_doc,
-    user_keys,
-)
+from repro.cluster.loadgen import CLUSTER_SCHEMA, home_nodes, user_keys
 from repro.cluster.routing import ClusterRouter, HashRing
 from repro.cluster.topology import (
     FREE_INTERCONNECT,
@@ -44,6 +38,5 @@ __all__ = [
     "HashRing",
     "InterconnectCosts",
     "home_nodes",
-    "render_cluster_doc",
     "user_keys",
 ]

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from repro.obs.metrics import MetricsRegistry
 from repro.perf.cache import ResultCache, default_cache_dir
-from repro.perf.fingerprint import FINGERPRINT_PATHS, code_fingerprint
+from repro.perf.fingerprint import FINGERPRINT_EXCLUDE, code_fingerprint
 from repro.perf.profiling import profile_call
 from repro.perf.sweep import SweepRunner, Task, resolve_jobs
 
@@ -37,7 +37,7 @@ __all__ = [
     "SweepRunner",
     "Task",
     "code_fingerprint",
-    "FINGERPRINT_PATHS",
+    "FINGERPRINT_EXCLUDE",
     "default_cache_dir",
     "profile_call",
     "resolve_jobs",

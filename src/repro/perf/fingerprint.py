@@ -9,9 +9,12 @@ files — even a comment — invalidates the cache, which errs on the side
 of re-running; a stale hit would silently report numbers the current
 code no longer produces.
 
-Docs, tests, benchmarks, and the :mod:`repro.perf` layer itself are
-deliberately excluded: changing how sweeps are *scheduled* must not
-throw away correct results.
+The digest covers the whole ``repro`` package except an explicit
+exclude list: the :mod:`repro.perf` layer itself (changing how sweeps
+are *scheduled* must not throw away correct results) and the CLI front
+end. Excluding by name rather than including by name means a new module
+— or an old one nobody thought shaped results — is covered by default.
+Docs, tests, and benchmarks live outside the package.
 """
 
 from __future__ import annotations
@@ -19,31 +22,10 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
-__all__ = ["code_fingerprint", "FINGERPRINT_PATHS"]
+__all__ = ["code_fingerprint", "FINGERPRINT_EXCLUDE"]
 
-#: Paths (relative to the ``repro`` package root) whose contents define
-#: simulation semantics. Directories are walked recursively for ``.py``.
-FINGERPRINT_PATHS = (
-    "config.py",
-    "errors.py",
-    "sim",
-    "interleaving",
-    "indexes",
-    "workloads",
-    "columnstore",
-    "query",
-    "service",
-    "faults",
-    "analysis/calibration.py",
-    "analysis/experiments.py",
-    # The obs modules below shape measure_service_point's cached outcome
-    # (exemplar histograms, burn analysis, span trees), so edits to them
-    # must invalidate service sweep entries. obs/export.py et al. stay
-    # out: offline tracing never enters the cache.
-    "obs/hist.py",
-    "obs/slo.py",
-    "obs/rtrace.py",
-)
+#: Top-level entries of the ``repro`` package left out of the digest.
+FINGERPRINT_EXCLUDE = ("perf", "__main__.py")
 
 
 def _package_root() -> Path:
@@ -53,24 +35,19 @@ def _package_root() -> Path:
 
 
 def code_fingerprint(root: Path | None = None) -> str:
-    """Return a hex digest over the simulation-semantics source files.
+    """Return a hex digest over the package's result-shaping source.
 
     ``root`` defaults to the installed ``repro`` package directory; tests
     point it at a synthetic tree to exercise invalidation.
     """
     base = Path(root) if root is not None else _package_root()
     digest = hashlib.sha256()
-    for rel in FINGERPRINT_PATHS:
-        path = base / rel
-        if path.is_dir():
-            files = sorted(p for p in path.rglob("*.py"))
-        elif path.is_file():
-            files = [path]
-        else:
+    for file in sorted(base.rglob("*.py")):
+        rel = file.relative_to(base)
+        if rel.parts[0] in FINGERPRINT_EXCLUDE:
             continue
-        for file in files:
-            digest.update(str(file.relative_to(base)).encode())
-            digest.update(b"\0")
-            digest.update(file.read_bytes())
-            digest.update(b"\0")
+        digest.update(rel.as_posix().encode())
+        digest.update(b"\0")
+        digest.update(file.read_bytes())
+        digest.update(b"\0")
     return digest.hexdigest()

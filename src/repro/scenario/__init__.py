@@ -1,10 +1,11 @@
-"""repro.scenario — the declarative scenario DSL (``repro.scenario/1``).
+"""repro.scenario — the scenario type and its ``repro.scenario/1`` form.
 
-A versioned JSON/YAML scenario format parsed into a frozen
-:class:`ScenarioSpec` that unifies the service, cluster, and SLO-run
-config surfaces. ``python -m repro serve file:scenario.yaml`` works
-alongside registry names; see :mod:`repro.scenario.spec` for the
-format and :mod:`repro.scenario.io` for loading and resolution.
+One frozen :class:`Scenario` is both the runnable serving experiment
+and a versioned JSON/YAML document; its ``kind`` (service or cluster)
+is the one multi-node decision. ``python -m repro serve
+file:scenario.yaml`` works alongside registry names; see
+:mod:`repro.scenario.spec` for the type and format and
+:mod:`repro.scenario.io` for loading and resolution.
 """
 
 from repro.scenario.io import (
@@ -12,12 +13,11 @@ from repro.scenario.io import (
     load_spec_file,
     parse_spec_text,
     resolve_scenario,
-    resolve_spec,
 )
 from repro.scenario.spec import (
     SCENARIO_KINDS,
     SCENARIO_SPEC_SCHEMA,
-    ScenarioSpec,
+    Scenario,
     config_from_dict,
     config_to_dict,
 )
@@ -26,11 +26,10 @@ __all__ = [
     "FILE_PREFIX",
     "SCENARIO_KINDS",
     "SCENARIO_SPEC_SCHEMA",
-    "ScenarioSpec",
+    "Scenario",
     "config_from_dict",
     "config_to_dict",
     "load_spec_file",
     "parse_spec_text",
     "resolve_scenario",
-    "resolve_spec",
 ]

@@ -1,14 +1,12 @@
-"""Loading scenario specs: ``file:`` refs, JSON/YAML parsing, resolution.
+"""Loading scenarios: ``file:`` refs, JSON/YAML parsing, resolution.
 
 :func:`resolve_scenario` is the single coercion point every serving
 entry surface shares (the facade, the loadgens, the CLI): it accepts a
-registry name, a ``file:scenario.yaml`` reference, a plain dict, a
-:class:`~repro.scenario.spec.ScenarioSpec`, or an already-built
-:class:`~repro.service.scenarios.Scenario` — and funnels *everything*
-through one ``from_dict``/``to_dict`` round trip, so a scenario that
-reaches a server has by construction survived the strict spec
-validation. Registry scenarios round-trip byte-identically (pinned by
-tests), which keeps every existing output unchanged.
+registry name, a ``file:scenario.yaml`` reference, a plain
+``repro.scenario/1`` dict, or a built
+:class:`~repro.scenario.spec.Scenario`, and returns the scenario. No
+path needs a second pass: every scenario, however it was made, was
+checked when it was constructed.
 
 YAML parsing is gated on :mod:`yaml` being importable; JSON always
 works. Malformed documents raise :class:`~repro.errors.SpecError`,
@@ -21,13 +19,12 @@ import json
 from pathlib import Path
 
 from repro.errors import SpecError
-from repro.scenario.spec import ScenarioSpec
+from repro.scenario.spec import Scenario
 
 __all__ = [
     "FILE_PREFIX",
     "parse_spec_text",
     "load_spec_file",
-    "resolve_spec",
     "resolve_scenario",
 ]
 
@@ -42,8 +39,8 @@ except ImportError:  # pragma: no cover
 
 def parse_spec_text(
     text: str, *, format: str | None = None, source: str = "<spec>"
-) -> ScenarioSpec:
-    """Parse one JSON or YAML spec document into a validated spec.
+) -> Scenario:
+    """Parse one JSON or YAML ``repro.scenario/1`` document.
 
     ``format`` forces ``"json"`` or ``"yaml"``; ``None`` tries JSON
     first and falls back to YAML when available (YAML is a JSON
@@ -70,7 +67,7 @@ def parse_spec_text(
         except _yaml.YAMLError as error:
             raise SpecError(f"{source}: invalid YAML: {error}") from error
     try:
-        return ScenarioSpec.from_dict(data)
+        return Scenario.from_dict(data)
     except SpecError as error:
         # str(error) already carries the dotted field path; prefix the
         # source without re-prepending the path.
@@ -79,8 +76,8 @@ def parse_spec_text(
         raise wrapped from error
 
 
-def load_spec_file(path: str | Path) -> ScenarioSpec:
-    """Load and validate one spec file (format chosen by extension)."""
+def load_spec_file(path: str | Path) -> Scenario:
+    """Load one scenario file (format chosen by extension)."""
     path = Path(path)
     suffix = path.suffix.lower()
     format = {".json": "json", ".yaml": "yaml", ".yml": "yaml"}.get(suffix)
@@ -91,43 +88,24 @@ def load_spec_file(path: str | Path) -> ScenarioSpec:
     return parse_spec_text(text, format=format, source=str(path))
 
 
-def resolve_spec(ref) -> ScenarioSpec:
-    """Coerce any scenario reference into a validated spec.
+def resolve_scenario(ref) -> Scenario:
+    """Coerce any scenario reference into a scenario.
 
-    Accepts a spec, a plain dict, a ``file:`` ref or registry name, or
-    a built scenario object (serialised via ``from_scenario``).
+    Accepts a built scenario (returned as is), a plain dict, or a
+    string: a ``file:`` reference or a registry name.
     """
-    from repro.service.scenarios import Scenario, get_scenario
-
-    if isinstance(ref, ScenarioSpec):
-        return ScenarioSpec.from_dict(ref.to_dict())
+    if isinstance(ref, Scenario):
+        return ref
     if isinstance(ref, dict):
-        return ScenarioSpec.from_dict(ref)
+        return Scenario.from_dict(ref)
     if isinstance(ref, str):
         if ref.startswith(FILE_PREFIX):
             return load_spec_file(ref[len(FILE_PREFIX):])
-        return ScenarioSpec.from_scenario(get_scenario(ref))
-    if isinstance(ref, Scenario):
-        return ScenarioSpec.from_scenario(ref)
+        # Not a top-level import: the registry module imports this
+        # package, so that import would be circular.
+        from repro.service.scenarios import get_scenario
+
+        return get_scenario(ref)
     raise SpecError(
         f"cannot interpret {type(ref).__name__} as a scenario reference"
     )
-
-
-def resolve_scenario(ref):
-    """Coerce any scenario reference into a runnable scenario object.
-
-    Everything passes through one ``from_dict(to_dict(...))`` round
-    trip — *except* instances of ``Scenario`` subclasses the spec
-    format does not model (user-defined classes with extra behaviour),
-    which pass through unchanged rather than being lossily flattened.
-    """
-    from repro.service.scenarios import Scenario
-
-    if isinstance(ref, Scenario) and type(ref) is not Scenario:
-        return ref
-    spec = resolve_spec(ref)
-    if isinstance(ref, (Scenario, dict, ScenarioSpec)):
-        return spec.to_scenario()
-    # String refs re-validate through the round trip too.
-    return ScenarioSpec.from_dict(spec.to_dict()).to_scenario()

@@ -1,8 +1,23 @@
-"""``repro.scenario/1``: the declarative scenario spec.
+"""``repro.scenario/1``: the one scenario type and its document form.
 
-:class:`ScenarioSpec` is the one frozen surface over
-:class:`~repro.service.scenarios.Scenario` and the SLO-run kwargs,
-behind a versioned plain-data document:
+A :class:`Scenario` bundles everything ``python -m repro serve`` needs:
+the probed table, the arrival shape, the admission/coalescing
+configuration, the candidate techniques, and the offered-load grid. Load
+points are expressed as **multipliers of the sequential executor's
+calibrated capacity** (measured at run time by
+:mod:`repro.service.loadgen`), so "2.0" always means "twice what the
+non-interleaved server could possibly sustain" regardless of table size
+or architecture scale — the robustness story's x-axis. Scenarios
+default to a :func:`~repro.config.scaled` architecture so the table
+overflows the (shrunken) LLC in seconds of real time; the simulated
+physics are unchanged.
+
+A scenario with an ``interconnect`` preset is a *cluster* scenario
+(``kind: cluster``): its config spreads ``n_nodes`` x ``n_shards``
+shards over a routed fleet, and its traffic is drawn from a simulated
+user population pinned to home nodes.
+
+The same type is a versioned plain-data document:
 
 .. code-block:: yaml
 
@@ -15,14 +30,17 @@ behind a versioned plain-data document:
     config: {max_batch: 24, overload_policy: shed, ...}
     fault_profile: chaos     # optional
 
-``from_dict`` validates **strictly**: unknown keys and out-of-range
-values raise :class:`~repro.errors.SpecError` carrying the dotted path
-of the offending field (``config.max_batch``, ``arrival.kind``) instead
-of silently ignoring extras — a typo'd knob fails loudly at parse time,
-never as a mysteriously-default run. ``to_dict`` emits the canonical
-plain-JSON form; registry scenarios round-trip through it byte-
-identically (pinned by tests), which is what lets every serving entry
-point route through this one surface without changing a single output.
+Validation is split by who can get it wrong. :meth:`Scenario.from_dict`
+checks the *shape* of outside input — mapping, schema tag, unknown
+keys, scalar types, cluster-only keys — so a typo'd knob fails loudly
+at parse time, never as a mysteriously-default run. Every *semantic*
+check (known arrival kind, techniques and fault profile, positive loads
+and sizes, interconnect preset) runs at construction, so a scenario
+built in Python and one read from a file meet the same checks. Both
+raise :class:`~repro.errors.SpecError` carrying the dotted path of the
+offending field (``config.max_batch``, ``arrival.kind``).
+:meth:`Scenario.to_dict` emits the canonical plain-JSON form; registry
+scenarios round-trip through it byte-identically (pinned by tests).
 """
 
 from __future__ import annotations
@@ -30,30 +48,32 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
-from repro.cluster.topology import TOPOLOGY_PRESETS
+from repro.cluster.topology import TOPOLOGY_PRESETS, ClusterTopology
 from repro.control import ControllerConfig
 from repro.errors import ConfigurationError, SpecError, WorkloadError
 from repro.faults.schedule import get_fault_profile
 from repro.interleaving.executor import get_executor
 from repro.service.arrivals import ARRIVAL_KINDS
-from repro.service.scenarios import Scenario
 from repro.service.server import ServiceConfig
 
 __all__ = [
     "SCENARIO_SPEC_SCHEMA",
     "SCENARIO_KINDS",
-    "ScenarioSpec",
+    "Scenario",
     "config_from_dict",
     "config_to_dict",
 ]
 
-#: Schema tag every spec document must carry.
+#: Schema tag every scenario document must carry.
 SCENARIO_SPEC_SCHEMA = "repro.scenario/1"
 
-#: Scenario shapes the spec distinguishes.
+#: Scenario shapes a document distinguishes.
 SCENARIO_KINDS = ("service", "cluster")
 
-#: Top-level keys a spec document may carry (cluster-only keys included;
+#: The four serving techniques the robustness story compares.
+DEFAULT_TECHNIQUES = ("sequential", "GP", "AMAC", "CORO")
+
+#: Top-level keys a document may carry (cluster-only keys included;
 #: their use under ``kind: service`` is rejected with a pathed error).
 _TOP_LEVEL_KEYS = (
     "schema",
@@ -74,7 +94,7 @@ _TOP_LEVEL_KEYS = (
 
 _CLUSTER_ONLY_KEYS = ("interconnect", "n_users")
 
-#: Config fields only a ``kind: cluster`` spec may set.
+#: Config fields only a ``kind: cluster`` document may set.
 _CLUSTER_CONFIG_KEYS = ("n_nodes", "replication")
 
 #: Scalar shape of each config field: (accepted types, allows None).
@@ -136,21 +156,41 @@ def _check_scalar(value, types, allow_none, path: str):
     return value
 
 
+def _check_list(data, item_types, path: str) -> tuple:
+    """A list of scalars, type-checked item by item (emptiness is a
+    semantic question the constructor answers)."""
+    if not isinstance(data, (list, tuple)):
+        raise SpecError("must be a non-empty list", path=path)
+    for index, value in enumerate(data):
+        _check_scalar(value, item_types, False, f"{path}[{index}]")
+    return tuple(data)
+
+
+def _check_mapping(data, path: str) -> dict:
+    if not isinstance(data, dict):
+        raise SpecError(
+            f"expected a mapping, got {type(data).__name__}", path=path
+        )
+    return data
+
+
+def _check_technique(name: str, path: str) -> None:
+    try:
+        get_executor(name)
+    except WorkloadError as error:
+        raise SpecError(str(error), path=path) from error
+
+
 def config_from_dict(
     data: dict, *, cluster: bool = False, path: str = "config"
 ) -> ServiceConfig:
     """Build a service config from a plain dict, strictly.
 
     Unknown keys, wrongly-typed values, and out-of-range fields all
-    raise :class:`SpecError` with the offending field's dotted path —
-    the repair for the historic silent-extras behaviour of handing
-    ``ServiceConfig(**d)``-shaped dicts around. ``n_nodes`` and
-    ``replication`` are known only with ``cluster=True``.
+    raise :class:`SpecError` with the offending field's dotted path.
+    ``n_nodes`` and ``replication`` are known only with ``cluster=True``.
     """
-    if not isinstance(data, dict):
-        raise SpecError(
-            f"expected a mapping, got {type(data).__name__}", path=path
-        )
+    _check_mapping(data, path)
     kwargs = {}
     for key, value in data.items():
         if key not in _CONFIG_FIELD_TYPES or (
@@ -159,9 +199,8 @@ def config_from_dict(
             hint = " (a cluster-config field?)" if key in _CLUSTER_CONFIG_KEYS else ""
             raise SpecError(f"unknown config field{hint}", path=f"{path}.{key}")
         types, allow_none = _CONFIG_FIELD_TYPES[key]
-        _check_scalar(value, types, allow_none, f"{path}.{key}")
-        kwargs[key] = value
-    if "controller" in kwargs and kwargs["controller"] is not None:
+        kwargs[key] = _check_scalar(value, types, allow_none, f"{path}.{key}")
+    if kwargs.get("controller") is not None:
         kwargs["controller"] = _controller_from_dict(
             kwargs["controller"], path=f"{path}.controller"
         )
@@ -177,26 +216,14 @@ def _controller_from_dict(data: dict, *, path: str) -> ControllerConfig:
         if key not in _CONTROLLER_FIELD_TYPES:
             raise SpecError("unknown controller field", path=f"{path}.{key}")
         types, allow_none = _CONTROLLER_FIELD_TYPES[key]
-        _check_scalar(value, types, allow_none, f"{path}.{key}")
-        kwargs[key] = value
+        kwargs[key] = _check_scalar(value, types, allow_none, f"{path}.{key}")
     if "techniques" in kwargs:
-        techniques = []
-        for index, name in enumerate(kwargs["techniques"]):
-            item_path = f"{path}.techniques[{index}]"
-            _check_scalar(name, (str,), False, item_path)
-            _check_technique(name, item_path)
-            techniques.append(name)
-        kwargs["techniques"] = tuple(techniques)
+        kwargs["techniques"] = _check_list(
+            kwargs["techniques"], (str,), f"{path}.techniques"
+        )
     try:
         return ControllerConfig(**kwargs)
     except ConfigurationError as error:
-        raise SpecError(str(error), path=path) from error
-
-
-def _check_technique(name: str, path: str) -> None:
-    try:
-        get_executor(name)
-    except WorkloadError as error:
         raise SpecError(str(error), path=path) from error
 
 
@@ -212,32 +239,109 @@ def config_to_dict(config: ServiceConfig) -> dict:
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
-    """The unified, declarative form of one serving scenario."""
+class Scenario:
+    """One reproducible serving experiment, end to end."""
 
     name: str
-    kind: str = "service"
-    description: str = ""
+    description: str
     arrival_kind: str = "poisson"
+    #: Kind-specific arrival knobs (bursty phases, closed-loop think).
     arrival_params: dict = field(default_factory=dict)
+    #: Offered load per point, as multiples of sequential capacity.
     loads: tuple[float, ...] = (0.4, 0.9, 1.8, 3.0)
-    techniques: tuple[str, ...] = ("sequential", "GP", "AMAC", "CORO")
+    techniques: tuple[str, ...] = DEFAULT_TECHNIQUES
     table_bytes: int = 4 << 20
+    #: Factor for :func:`repro.config.scaled`; 1 = the full Haswell spec.
     arch_scale: int = 64
     n_requests: int = 400
+    config: ServiceConfig = field(
+        default_factory=lambda: ServiceConfig(
+            max_batch=24,
+            max_wait_cycles=3000,
+            queue_capacity=96,
+            overload_policy="reject",
+            n_shards=2,
+            slo_cycles=30_000,
+        )
+    )
+    #: Default fault profile (``repro.faults``); ``None`` = no chaos.
+    #: ``python -m repro serve <name> --faults <profile>`` overrides it.
     fault_profile: str | None = None
-    config: ServiceConfig = field(default_factory=ServiceConfig)
-    #: Cluster-only: topology preset and simulated-user population.
-    interconnect: str = "planet"
+    #: Topology preset (see ``repro.cluster.topology``); ``None`` = a
+    #: single-system service scenario, anything else a cluster one.
+    interconnect: str | None = None
+    #: Size of the simulated user population cluster scenarios draw
+    #: probe keys from.
     n_users: int = 1_000_000
 
+    def __post_init__(self) -> None:
+        if not self.name:
+            raise SpecError("must be a non-empty string", path="name")
+        if self.arrival_kind not in ARRIVAL_KINDS:
+            raise SpecError(
+                f"unknown arrival kind {self.arrival_kind!r} (have: "
+                f"{', '.join(sorted(ARRIVAL_KINDS))})",
+                path="arrival.kind",
+            )
+        if not self.loads:
+            raise SpecError("must be a non-empty list", path="loads")
+        for index, load in enumerate(self.loads):
+            if load <= 0:
+                raise SpecError(
+                    "load multipliers must be positive", path=f"loads[{index}]"
+                )
+        if not self.techniques:
+            raise SpecError("must be a non-empty list", path="techniques")
+        for index, name in enumerate(self.techniques):
+            _check_technique(name, f"techniques[{index}]")
+        controller = self.config.controller
+        for index, name in enumerate(controller.techniques if controller else ()):
+            _check_technique(name, f"config.controller.techniques[{index}]")
+        for name in ("table_bytes", "arch_scale", "n_requests", "n_users"):
+            if getattr(self, name) < 1:
+                raise SpecError("must be positive", path=name)
+        if self.fault_profile is not None:
+            try:
+                get_fault_profile(self.fault_profile)
+            except WorkloadError as error:
+                raise SpecError(str(error), path="fault_profile") from error
+        if self.interconnect is None:
+            if self.config.n_nodes != 1:
+                raise SpecError(
+                    f"{self.config.n_nodes} nodes need an interconnect preset",
+                    path="config.n_nodes",
+                )
+        elif self.interconnect not in TOPOLOGY_PRESETS:
+            raise SpecError(
+                f"unknown topology preset {self.interconnect!r} (have: "
+                f"{', '.join(sorted(TOPOLOGY_PRESETS))})",
+                path="interconnect",
+            )
+
+    @property
+    def kind(self) -> str:
+        """``"cluster"`` with an interconnect, else ``"service"``."""
+        return "service" if self.interconnect is None else "cluster"
+
+    def topology(self) -> ClusterTopology:
+        """Materialise the scenario's topology (one node without an
+        interconnect preset)."""
+        if self.interconnect is None:
+            return ClusterTopology.single()
+        return TOPOLOGY_PRESETS[self.interconnect](self.config.n_nodes)
+
     # ------------------------------------------------------------------
-    # Dict round-trip
+    # The repro.scenario/1 document
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioSpec":
-        """Parse and strictly validate one spec document."""
+    def from_dict(cls, data: dict) -> "Scenario":
+        """Parse one ``repro.scenario/1`` document.
+
+        Checks the document's shape here; the constructor checks what
+        the values mean. A ``kind: cluster`` document without an
+        ``interconnect`` gets the ``planet`` preset.
+        """
         if not isinstance(data, dict):
             raise SpecError(
                 f"a scenario spec must be a mapping, got {type(data).__name__}"
@@ -251,145 +355,60 @@ class ScenarioSpec:
                 f"expected {SCENARIO_SPEC_SCHEMA!r}, got {schema!r}",
                 path="schema",
             )
-        name = _check_scalar(data.get("name"), (str,), False, "name")
-        if not name:
-            raise SpecError("must be a non-empty string", path="name")
         kind = _check_scalar(data.get("kind", "service"), (str,), False, "kind")
         if kind not in SCENARIO_KINDS:
             raise SpecError(
                 f"expected one of {SCENARIO_KINDS}, got {kind!r}", path="kind"
             )
-        if kind != "cluster":
+        cluster = kind == "cluster"
+        if not cluster:
             for key in _CLUSTER_ONLY_KEYS:
                 if key in data:
-                    raise SpecError(
-                        "only valid for kind: cluster", path=key
-                    )
-        description = _check_scalar(
-            data.get("description", ""), (str,), False, "description"
+                    raise SpecError("only valid for kind: cluster", path=key)
+        arrival = _check_mapping(
+            data.get("arrival", {"kind": "poisson", "params": {}}), "arrival"
         )
-        arrival_kind, arrival_params = cls._parse_arrival(
-            data.get("arrival", {"kind": "poisson", "params": {}})
-        )
-        loads = cls._parse_loads(data.get("loads", [0.4, 0.9, 1.8, 3.0]))
-        techniques = cls._parse_techniques(
-            data.get("techniques", ["sequential", "GP", "AMAC", "CORO"])
-        )
-        table_bytes = _check_scalar(
-            data.get("table_bytes", 4 << 20), (int,), False, "table_bytes"
-        )
-        if table_bytes < 1:
-            raise SpecError("must be positive", path="table_bytes")
-        arch_scale = _check_scalar(
-            data.get("arch_scale", 64), (int,), False, "arch_scale"
-        )
-        if arch_scale < 1:
-            raise SpecError("must be positive", path="arch_scale")
-        n_requests = _check_scalar(
-            data.get("n_requests", 400), (int,), False, "n_requests"
-        )
-        if n_requests < 1:
-            raise SpecError("must be positive", path="n_requests")
-        fault_profile = _check_scalar(
-            data.get("fault_profile"), (str,), True, "fault_profile"
-        )
-        if fault_profile is not None:
-            try:
-                get_fault_profile(fault_profile)
-            except WorkloadError as error:
-                raise SpecError(str(error), path="fault_profile") from error
-        config = config_from_dict(
-            data.get("config", {}), cluster=(kind == "cluster")
-        )
-        interconnect = _check_scalar(
-            data.get("interconnect", "planet"), (str,), False, "interconnect"
-        )
-        if kind == "cluster" and interconnect not in TOPOLOGY_PRESETS:
-            raise SpecError(
-                f"unknown topology preset {interconnect!r} (have: "
-                f"{', '.join(sorted(TOPOLOGY_PRESETS))})",
-                path="interconnect",
-            )
-        n_users = _check_scalar(
-            data.get("n_users", 1_000_000), (int,), False, "n_users"
-        )
-        if n_users < 1:
-            raise SpecError("must be positive", path="n_users")
-        return cls(
-            name=name,
-            kind=kind,
-            description=description,
-            arrival_kind=arrival_kind,
-            arrival_params=arrival_params,
-            loads=loads,
-            techniques=techniques,
-            table_bytes=table_bytes,
-            arch_scale=arch_scale,
-            n_requests=n_requests,
-            fault_profile=fault_profile,
-            config=config,
-            interconnect=interconnect,
-            n_users=n_users,
-        )
-
-    @staticmethod
-    def _parse_arrival(data) -> tuple[str, dict]:
-        if not isinstance(data, dict):
-            raise SpecError(
-                f"expected a mapping, got {type(data).__name__}", path="arrival"
-            )
-        for key in data:
+        for key in arrival:
             if key not in ("kind", "params"):
                 raise SpecError("unknown field", path=f"arrival.{key}")
-        kind = _check_scalar(
-            data.get("kind", "poisson"), (str,), False, "arrival.kind"
-        )
-        if kind not in ARRIVAL_KINDS:
-            raise SpecError(
-                f"unknown arrival kind (have: "
-                f"{', '.join(sorted(ARRIVAL_KINDS))})",
-                path="arrival.kind",
-            )
-        params = data.get("params", {})
-        if not isinstance(params, dict):
-            raise SpecError(
-                f"expected a mapping, got {type(params).__name__}",
-                path="arrival.params",
-            )
+        params = _check_mapping(arrival.get("params", {}), "arrival.params")
         for key, value in params.items():
             _check_scalar(value, _NUMBER, False, f"arrival.params.{key}")
-        return kind, dict(params)
 
-    @staticmethod
-    def _parse_loads(data) -> tuple[float, ...]:
-        if not isinstance(data, (list, tuple)) or not data:
-            raise SpecError("must be a non-empty list", path="loads")
-        loads = []
-        for index, value in enumerate(data):
-            _check_scalar(value, _NUMBER, False, f"loads[{index}]")
-            if value <= 0:
-                raise SpecError(
-                    "load multipliers must be positive", path=f"loads[{index}]"
-                )
-            loads.append(value)
-        return tuple(loads)
+        def scalar(key, default, types=(int,), allow_none=False):
+            return _check_scalar(data.get(key, default), types, allow_none, key)
 
-    @staticmethod
-    def _parse_techniques(data) -> tuple[str, ...]:
-        if not isinstance(data, (list, tuple)) or not data:
-            raise SpecError("must be a non-empty list", path="techniques")
-        techniques = []
-        for index, name in enumerate(data):
-            item_path = f"techniques[{index}]"
-            _check_scalar(name, (str,), False, item_path)
-            _check_technique(name, item_path)
-            techniques.append(name)
-        return tuple(techniques)
+        return cls(
+            name=scalar("name", None, (str,)),
+            description=scalar("description", "", (str,)),
+            arrival_kind=_check_scalar(
+                arrival.get("kind", "poisson"), (str,), False, "arrival.kind"
+            ),
+            arrival_params=dict(params),
+            loads=_check_list(
+                data.get("loads", [0.4, 0.9, 1.8, 3.0]), _NUMBER, "loads"
+            ),
+            techniques=_check_list(
+                data.get("techniques", list(DEFAULT_TECHNIQUES)),
+                (str,),
+                "techniques",
+            ),
+            table_bytes=scalar("table_bytes", 4 << 20),
+            arch_scale=scalar("arch_scale", 64),
+            n_requests=scalar("n_requests", 400),
+            fault_profile=scalar("fault_profile", None, (str,), True),
+            config=config_from_dict(data.get("config", {}), cluster=cluster),
+            interconnect=(
+                scalar("interconnect", "planet", (str,)) if cluster else None
+            ),
+            n_users=scalar("n_users", 1_000_000),
+        )
 
     def to_dict(self) -> dict:
         """The canonical plain-JSON document (inverse of ``from_dict``)."""
+        cluster = self.kind == "cluster"
         config = config_to_dict(self.config)
-        if self.kind != "cluster":
+        if not cluster:
             for key in _CLUSTER_CONFIG_KEYS:
                 del config[key]
         record = {
@@ -409,55 +428,7 @@ class ScenarioSpec:
             "fault_profile": self.fault_profile,
             "config": config,
         }
-        if self.kind == "cluster":
+        if cluster:
             record["interconnect"] = self.interconnect
             record["n_users"] = self.n_users
         return record
-
-    # ------------------------------------------------------------------
-    # Scenario round-trip
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def from_scenario(cls, scenario: Scenario) -> "ScenarioSpec":
-        """Serialise an existing (registry) scenario object."""
-        kwargs = dict(
-            name=scenario.name,
-            kind=scenario.kind,
-            description=scenario.description,
-            arrival_kind=scenario.arrival_kind,
-            arrival_params=dict(scenario.arrival_params or {}),
-            loads=tuple(scenario.loads),
-            techniques=tuple(scenario.techniques),
-            table_bytes=scenario.table_bytes,
-            arch_scale=scenario.arch_scale,
-            n_requests=scenario.n_requests,
-            fault_profile=scenario.fault_profile,
-            config=scenario.config,
-        )
-        if scenario.kind == "cluster":
-            kwargs["interconnect"] = scenario.interconnect
-            kwargs["n_users"] = scenario.n_users
-        return cls(**kwargs)
-
-    def to_scenario(self) -> Scenario:
-        """Materialise the runnable scenario object."""
-        kwargs = dict(
-            name=self.name,
-            description=self.description,
-            arrival_kind=self.arrival_kind,
-            arrival_params=dict(self.arrival_params),
-            loads=self.loads,
-            techniques=self.techniques,
-            table_bytes=self.table_bytes,
-            arch_scale=self.arch_scale,
-            n_requests=self.n_requests,
-            config=self.config,
-            fault_profile=self.fault_profile,
-        )
-        if self.kind == "cluster":
-            kwargs.update(interconnect=self.interconnect, n_users=self.n_users)
-        try:
-            return Scenario(**kwargs)
-        except ConfigurationError as error:
-            raise SpecError(str(error)) from error

@@ -21,8 +21,8 @@ from __future__ import annotations
 from repro.errors import SimulationError, WorkloadError
 from repro.obs.hist import exemplar_from_dict
 from repro.obs.rtrace import critical_path, trace_errors
-from repro.service.loadgen import _calibrate, _resolve_ref, measure_service_point
-from repro.service.scenarios import Scenario
+from repro.scenario import Scenario, resolve_scenario
+from repro.service.loadgen import _calibrate, measure_service_point
 
 __all__ = ["EXPLAIN_SCHEMA", "explain_point", "render_explain_doc"]
 
@@ -73,8 +73,8 @@ def explain_point(
     """Explain the p-``q`` exemplar request of one sweep point.
 
     ``scenario`` accepts any reference :func:`repro.scenario.
-    resolve_scenario` does (registry name, ``file:`` path, spec dict or
-    object, built scenario). ``technique`` defaults to CORO (or the
+    resolve_scenario` does (registry name, ``file:`` path, document
+    dict, built scenario). ``technique`` defaults to CORO (or the
     scenario's last technique); ``load`` to the scenario's highest
     multiplier — the corner where tail latency is interesting. Returns
     the ``repro.explain/1`` document; raises :class:`WorkloadError` for
@@ -86,7 +86,7 @@ def explain_point(
     window decisions — so the critical path can be read against what
     the control plane did to the serving loop around it.
     """
-    scenario = _resolve_ref(scenario)
+    scenario = resolve_scenario(scenario)
     technique = _resolve_technique(scenario, technique)
     load = _resolve_load(scenario, load)
     if faults is None:

@@ -7,9 +7,9 @@ seeded probe-value list, runs a fresh :class:`~repro.service.server.
 ServiceServer`, and flattens the report into a plain dict — the
 ``repro.service/1`` data document.
 
-The scenario's kind (its spec's ``kind``) is the one place the
-multi-node decision is made. A ``cluster`` scenario draws its probe
-keys from a user population and pins each request to a home node
+The scenario's ``kind`` is the one place the multi-node decision is
+made. A ``cluster`` scenario draws its probe keys from a user
+population and pins each request to a home node
 (:mod:`repro.cluster.loadgen`), resolves its fault profile at *node*
 scope (the profile's ``n_shards`` argument is the node count, so
 ``cluster-chaos`` draws whole-node events the server lowers onto each
@@ -34,12 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.loadgen import (
-    CLUSTER_SCHEMA,
-    home_nodes,
-    render_cluster_doc,
-    user_keys,
-)
+from repro.cluster.loadgen import CLUSTER_SCHEMA, home_nodes, user_keys
 from repro.config import HASWELL, ArchSpec, scaled
 from repro.control import CONTROL_SCHEMA
 from repro.faults.schedule import FaultProfile, FaultSchedule, resolve_schedule
@@ -47,8 +42,8 @@ from repro.interleaving.executor import BulkLookup, get_executor
 from repro.obs.rtrace import RequestTracer
 from repro.obs.slo import SLO_SCHEMA
 from repro.perf import Task, default_runner
+from repro.scenario import Scenario, resolve_scenario
 from repro.service.arrivals import make_arrivals
-from repro.service.scenarios import Scenario
 from repro.service.server import ServiceReport, ServiceServer
 from repro.sim.allocator import AddressSpaceAllocator
 from repro.sim.engine import ExecutionEngine
@@ -385,11 +380,10 @@ def run_scenario(
     """Run every (technique, load) point; return the data document.
 
     ``scenario`` accepts anything :func:`repro.scenario.resolve_scenario`
-    does — a registry name, a ``file:scenario.yaml`` reference, a spec
-    dict, a :class:`~repro.scenario.ScenarioSpec`, or a built
-    :class:`Scenario` — and funnels it through the validated spec round
-    trip. ``faults`` overrides the scenario's default fault profile (a
-    profile name, a profile, or a ready-built schedule). A run whose
+    does — a registry name, a ``file:scenario.yaml`` reference, a
+    ``repro.scenario/1`` dict, or a built :class:`Scenario`. ``faults``
+    overrides the scenario's default fault profile (a profile name, a
+    profile, or a ready-built schedule). A run whose
     schedule resolves to empty — no chaos asked for, or the ``"none"``
     profile — emits a plain ``repro.service/1`` document bit-identical
     to a run of a server without the fault machinery; a non-empty
@@ -399,7 +393,7 @@ def run_scenario(
     multiplier replays the *identical* schedule (the horizon depends
     only on the request count and the offered rate).
     """
-    scenario = _resolve_ref(scenario)
+    scenario = resolve_scenario(scenario)
     if faults is None:
         faults = scenario.fault_profile
     arch, capacity, cycles_per_lookup, outcomes = _sweep(scenario, seed, faults)
@@ -424,7 +418,7 @@ def run_traced_scenario(
     carry node-tagged lanes (``"n2/s0"``), so ``repro explain`` shows
     *which replica* won a hedge.
     """
-    scenario = _resolve_ref(scenario)
+    scenario = resolve_scenario(scenario)
     if faults is None:
         faults = scenario.fault_profile
     arch, capacity, cycles_per_lookup, outcomes = _sweep(
@@ -464,7 +458,7 @@ def run_slo_scenario(
     """
     from repro.errors import ConfigurationError
 
-    scenario = _resolve_ref(spec)
+    scenario = resolve_scenario(spec)
     if scenario.config.slo_cycles is None:
         raise ConfigurationError(
             f"scenario {scenario.name!r} has no slo_cycles: nothing to burn"
@@ -496,20 +490,17 @@ def _replace_config(config, **changes):
     return dataclasses.replace(config, **changes)
 
 
-def _resolve_ref(ref):
-    """Funnel any scenario reference through the spec surface (lazy)."""
-    from repro.scenario import resolve_scenario
-
-    return resolve_scenario(ref)
-
-
 def render_service_doc(doc: dict) -> str:
-    """Render a service document as the CLI's ASCII artifact."""
+    """Render a serving document as the CLI's ASCII artifact.
+
+    Both kinds share the latency columns; the middle columns and the
+    title head follow the document's ``kind`` — admission outcomes for
+    one node, remote answers and interconnect cycles for a fleet.
+    """
     from repro.analysis.reporting import format_table
 
-    if CLUSTER_SCHEMA in (doc.get("schema"), doc.get("base_schema")):
-        return render_cluster_doc(doc)
-    chaos = CHAOS_SCHEMA in (doc.get("schema"), doc.get("base_schema"))
+    cluster = doc["kind"] == "cluster"
+    chaos = "fault_profile" in doc
     headers = [
         "technique",
         "xload",
@@ -519,13 +510,12 @@ def render_service_doc(doc: dict) -> str:
         "p95",
         "p99",
         "q-wait",
-        "b-wait",
-        "exec",
-        "rej",
-        "drop",
-        "shed",
-        "slo%",
     ]
+    if cluster:
+        headers += ["exec", "remote%", "ic-kcyc"]
+    else:
+        headers += ["b-wait", "exec", "rej", "drop", "shed"]
+    headers.append("slo%")
     if chaos:
         headers += ["t/o", "rtry", "fail", "hedge"]
     rows = []
@@ -540,21 +530,42 @@ def render_service_doc(doc: dict) -> str:
             p["p95"],
             p["p99"],
             round(p["mean_queue_wait"]),
-            round(p["mean_batch_wait"]),
-            round(p["mean_execution"]),
-            p["rejected"],
-            p["dropped"],
-            p["shed"],
-            "-" if slo is None else f"{100 * slo:.0f}",
         ]
+        if cluster:
+            crossings = p["crossings"]
+            answered = sum(crossings.values()) or 1
+            remote = crossings["numa"] + crossings["cxl"]
+            row += [
+                round(p["mean_execution"]),
+                f"{100 * remote / answered:.0f}",
+                round(p["interconnect_cycles"] / 1000),
+            ]
+        else:
+            row += [
+                round(p["mean_batch_wait"]),
+                round(p["mean_execution"]),
+                p["rejected"],
+                p["dropped"],
+                p["shed"],
+            ]
+        row.append("-" if slo is None else f"{100 * slo:.0f}")
         if chaos:
             row += [p["timeouts"], p["retries"], p["failed"], p["hedges"]]
         rows.append(row)
-    title = (
-        f"serve {doc['scenario']}: {doc['arrival_kind']} arrivals, "
-        f"{doc['table_bytes'] >> 20} MB table on {doc['arch']}, "
-        f"seq capacity {doc['seq_capacity_per_kcycle']:.2f} req/kcycle"
-    )
+    if cluster:
+        title = (
+            f"serve {doc['scenario']}: {doc['n_nodes']} nodes x "
+            f"{doc['n_shards_per_node']} shards, R={doc['replication']}, "
+            f"{doc['arrival_kind']} arrivals over "
+            f"{len(doc['regions'])} regions, {doc['n_users']:,} users, "
+            f"fleet seq capacity {doc['seq_capacity_per_kcycle']:.2f} req/kcycle"
+        )
+    else:
+        title = (
+            f"serve {doc['scenario']}: {doc['arrival_kind']} arrivals, "
+            f"{doc['table_bytes'] >> 20} MB table on {doc['arch']}, "
+            f"seq capacity {doc['seq_capacity_per_kcycle']:.2f} req/kcycle"
+        )
     if chaos:
         title += f", faults={doc['fault_profile']}"
     if "controller" in doc:

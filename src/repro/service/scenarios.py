@@ -1,27 +1,13 @@
-"""Named serving scenarios: reproducible online-load experiments.
+"""Named serving scenarios: the registry behind ``serve <name>``.
 
-A :class:`Scenario` bundles everything ``python -m repro serve <name>``
-needs: the probed table, the arrival shape, the admission/coalescing
-configuration, the candidate techniques, and the offered-load grid. Load
-points are expressed as **multipliers of the sequential executor's
-calibrated capacity** (measured at run time by
-:mod:`repro.service.loadgen`), so "2.0" always means "twice what the
-non-interleaved server could possibly sustain" regardless of table size
-or architecture scale — the robustness story's x-axis.
+The registry mirrors ``EXECUTOR_REGISTRY``: decorate a
+:class:`~repro.scenario.spec.Scenario` with :func:`register_scenario`
+and the CLI, the benchmarks, and ``python -m repro list`` all pick it
+up. The scenario type itself — its fields, its checks, and its
+``repro.scenario/1`` document form — lives in :mod:`repro.scenario.spec`.
 
-Scenarios default to a :func:`~repro.config.scaled` architecture so the
-table overflows the (shrunken) LLC in seconds of real time; the
-simulated physics — LFB-bounded MLP, switch-overhead economics — are
-unchanged (latencies and the cost model do not scale).
-
-The registry mirrors ``EXECUTOR_REGISTRY``: decorate a ``Scenario``
-with :func:`register_scenario` and the CLI, the benchmarks, and
-``python -m repro list`` all pick it up.
-
-A scenario with an ``interconnect`` preset is a *cluster* scenario
-(``kind: cluster`` in its ``repro.scenario/1`` spec): its config
-spreads ``n_nodes`` x ``n_shards`` shards over a routed fleet, and its
-traffic knows about geography — the planet scenarios draw millions of
+The cluster entries (``planet``, ``planet-quick``, ``cluster-steady``)
+carry an ``interconnect`` preset: the planet scenarios draw millions of
 simulated users through a diurnal, region-rotating arrival mix, map
 each region onto the topology's nodes, and, in the chaos variants,
 kill whole nodes mid-run via the ``cluster-chaos`` fault profile.
@@ -30,13 +16,10 @@ kill whole nodes mid-run via the ``cluster-chaos`` fault profile.
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass, field
 
-from repro.cluster.topology import TOPOLOGY_PRESETS, ClusterTopology
 from repro.control import ControllerConfig
 from repro.errors import ConfigurationError, WorkloadError
-from repro.faults.schedule import get_fault_profile
-from repro.service.arrivals import ARRIVAL_KINDS
+from repro.scenario.spec import Scenario
 from repro.service.server import ServiceConfig
 
 __all__ = [
@@ -46,90 +29,6 @@ __all__ = [
     "get_scenario",
     "scenario_names",
 ]
-
-#: The four serving techniques the robustness story compares.
-DEFAULT_TECHNIQUES = ("sequential", "GP", "AMAC", "CORO")
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """One reproducible serving experiment, end to end."""
-
-    name: str
-    description: str
-    arrival_kind: str = "poisson"
-    #: Kind-specific arrival knobs (bursty phases, closed-loop think).
-    arrival_params: dict = field(default_factory=dict)
-    #: Offered load per point, as multiples of sequential capacity.
-    loads: tuple[float, ...] = (0.4, 0.9, 1.8, 3.0)
-    techniques: tuple[str, ...] = DEFAULT_TECHNIQUES
-    table_bytes: int = 4 << 20
-    #: Factor for :func:`repro.config.scaled`; 1 = the full Haswell spec.
-    arch_scale: int = 64
-    n_requests: int = 400
-    config: ServiceConfig = field(
-        default_factory=lambda: ServiceConfig(
-            max_batch=24,
-            max_wait_cycles=3000,
-            queue_capacity=96,
-            overload_policy="reject",
-            n_shards=2,
-            slo_cycles=30_000,
-        )
-    )
-    #: Default fault profile (``repro.faults``); ``None`` = no chaos.
-    #: ``python -m repro serve <name> --faults <profile>`` overrides it.
-    fault_profile: str | None = None
-    #: Topology preset (see ``repro.cluster.topology``); ``None`` = a
-    #: single-system service scenario, anything else a cluster one.
-    interconnect: str | None = None
-    #: Size of the simulated user population cluster scenarios draw
-    #: probe keys from.
-    n_users: int = 1_000_000
-
-    def __post_init__(self) -> None:
-        if self.arrival_kind not in ARRIVAL_KINDS:
-            raise ConfigurationError(
-                f"scenario {self.name!r}: unknown arrival kind "
-                f"{self.arrival_kind!r} (have: {', '.join(sorted(ARRIVAL_KINDS))})"
-            )
-        if not self.loads or any(load <= 0 for load in self.loads):
-            raise ConfigurationError(
-                f"scenario {self.name!r}: loads must be positive multipliers"
-            )
-        if not self.techniques:
-            raise ConfigurationError(f"scenario {self.name!r}: no techniques")
-        if self.fault_profile is not None:
-            get_fault_profile(self.fault_profile)  # raises on unknown names
-        if self.interconnect is None:
-            if self.config.n_nodes != 1:
-                raise ConfigurationError(
-                    f"scenario {self.name!r}: {self.config.n_nodes} nodes "
-                    "need an interconnect preset"
-                )
-        elif self.interconnect not in TOPOLOGY_PRESETS:
-            raise ConfigurationError(
-                f"scenario {self.name!r}: unknown interconnect preset "
-                f"{self.interconnect!r} (have: "
-                f"{', '.join(sorted(TOPOLOGY_PRESETS))})"
-            )
-        if self.n_users < 1:
-            raise ConfigurationError(
-                f"scenario {self.name!r}: needs at least one simulated user"
-            )
-
-    @property
-    def kind(self) -> str:
-        """The spec kind: ``"cluster"`` with an interconnect, else
-        ``"service"``."""
-        return "service" if self.interconnect is None else "cluster"
-
-    def topology(self) -> ClusterTopology:
-        """Materialise the scenario's topology (one node without an
-        interconnect preset)."""
-        if self.interconnect is None:
-            return ClusterTopology.single()
-        return TOPOLOGY_PRESETS[self.interconnect](self.config.n_nodes)
 
 
 #: Registered scenarios, keyed by lower-cased name.

@@ -9,14 +9,13 @@ import json
 import pytest
 
 from repro.__main__ import main
-from repro.scenario import ScenarioSpec
 from repro.service.scenarios import SCENARIO_REGISTRY, get_scenario
 
 
 @pytest.fixture()
 def quick_spec_file(tmp_path):
     path = tmp_path / "quick.json"
-    spec = ScenarioSpec.from_scenario(get_scenario("quick"))
+    spec = get_scenario("quick")
     path.write_text(json.dumps(spec.to_dict(), indent=2, sort_keys=True))
     return path
 
@@ -44,13 +43,13 @@ class TestListJson:
         by_name = {record["name"]: record for record in doc["scenarios"]}
         assert set(by_name) == set(SCENARIO_REGISTRY)
         for name, scenario in SCENARIO_REGISTRY.items():
-            expected = ScenarioSpec.from_scenario(scenario).to_dict()
+            expected = scenario.to_dict()
             assert by_name[name] == expected
 
     def test_registry_name_ref_prints_its_spec(self, capsys):
         assert main(["list", "quick"]) == 0
         record = json.loads(capsys.readouterr().out)
-        expected = ScenarioSpec.from_scenario(get_scenario("quick")).to_dict()
+        expected = get_scenario("quick").to_dict()
         assert record == expected
 
     def test_file_ref_resolves(self, capsys, quick_spec_file):

@@ -1,11 +1,12 @@
-"""Property test: random valid scenario specs keep the serving invariants.
+"""Property test: random valid scenarios keep the serving invariants.
 
-Draws ``repro.scenario/1`` specs of both kinds (service, and cluster
+Draws ``repro.scenario/1`` documents of both kinds (service, and cluster
 with one to four nodes and replication up to the node count), every
 arrival kind, an optional fault profile and an optional adaptive
 controller, and runs each through :func:`repro.api.serve`. Every
-``ServiceReport`` the sweep's servers produce is captured so the check
-can see each request, not only the document's aggregates.
+server the sweep builds, and the ``ServiceReport`` it returns, is
+captured so the check can see each request and each shard engine, not
+only the document's aggregates.
 
 Oracles:
 
@@ -17,7 +18,11 @@ Oracles:
   refused counts rejections, drops, timeouts and retry failures (read
   off the report: a plain document carries no timeout count);
 * cluster points' per-node batch and completion counters sum to the
-  point's ``batches`` and ``completed``.
+  point's ``batches`` and ``completed``;
+* every shard engine's TMAM slots cover exactly its cycles after the
+  sweep (``tmam.check_consistency()``);
+* a traced run emits the same document as the untraced one, and every
+  request's span tree passes :func:`repro.obs.rtrace.trace_errors`.
 
 Shrunk counterexamples found while writing the oracles stay below as
 ``@example`` rows.
@@ -27,9 +32,11 @@ import contextlib
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro import api
+from repro import api, perf
 from repro.faults.schedule import fault_profile_names
-from repro.scenario import ScenarioSpec
+from repro.obs.rtrace import trace_errors
+from repro.scenario import Scenario
+from repro.service.loadgen import run_traced_scenario
 from repro.service.server import ServiceServer
 
 #: One fixed CI profile: the same examples on every run.
@@ -121,23 +128,24 @@ def specs(draw):
         config["replication"] = draw(st.integers(1, n_nodes))
         record["interconnect"] = draw(st.sampled_from(("planet", "single")))
         record["n_users"] = draw(st.integers(1, 100_000))
-    return ScenarioSpec.from_dict(record)
+    return Scenario.from_dict(record)
 
 
 @contextlib.contextmanager
-def captured_reports():
-    """Collect every report ``ServiceServer.serve`` returns."""
+def captured_runs():
+    """Collect every ``(server, report)`` pair ``ServiceServer.serve``
+    produces."""
     serve = ServiceServer.serve
-    reports = []
+    runs = []
 
     def capturing(server, *args, **kwargs):
         report = serve(server, *args, **kwargs)
-        reports.append(report)
+        runs.append((server, report))
         return report
 
     ServiceServer.serve = capturing
     try:
-        yield reports
+        yield runs
     finally:
         ServiceServer.serve = serve
 
@@ -147,7 +155,7 @@ def captured_reports():
 # Deadline expiry with no faults: the plain document has no timeout
 # count, so refusals are counted off the report.
 @example(
-    spec=ScenarioSpec.from_dict(
+    spec=Scenario.from_dict(
         {
             "schema": "repro.scenario/1",
             "name": "prop",
@@ -171,18 +179,18 @@ def captured_reports():
 )
 def test_random_scenarios_keep_the_serving_invariants(spec, seed):
     record = spec.to_dict()
-    again = ScenarioSpec.from_dict(record)
+    again = Scenario.from_dict(record)
     assert again == spec
     assert again.to_dict() == record
 
-    with captured_reports() as reports:
+    with captured_runs() as runs:
         doc = api.serve(record, seed=seed, jobs=1, cache=None).doc
 
     n = spec.n_requests
     assert doc["kind"] == spec.kind
     assert len(doc["points"]) == len(spec.loads) * len(spec.techniques)
-    assert len(reports) == len(doc["points"])
-    for point, report in zip(doc["points"], reports):
+    assert len(runs) == len(doc["points"])
+    for point, (server, report) in zip(doc["points"], runs):
         assert point["p50"] <= point["p95"] <= point["p99"]
         counters, resilience = report.counters, report.resilience
         refused = (
@@ -204,3 +212,12 @@ def test_random_scenarios_keep_the_serving_invariants(spec, seed):
             parts = (request.queue_wait, request.batch_wait, request.execution_cycles)
             assert min(parts) >= 0
             assert sum(parts) == request.latency
+        for shard in server.shards:
+            shard.engine.tmam.check_consistency()
+
+    with perf.overrides(jobs=1):
+        traced_doc, traced = run_traced_scenario(spec, seed=seed)
+    assert traced_doc == doc
+    for label, record in traced.items():
+        for trace in record["traces"]:
+            assert trace_errors(trace) == [], (label, trace["trace_id"])

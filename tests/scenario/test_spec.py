@@ -3,9 +3,8 @@
 The two load-bearing invariants:
 
 * **byte round-trip** — every registry scenario serialises through
-  ``ScenarioSpec`` and back without changing a byte, which is what lets
-  every serving entry point route through the spec surface with zero
-  output drift;
+  its ``repro.scenario/1`` document and back without changing a byte,
+  so a file-loaded twin serves exactly what the registry entry does;
 * **strict validation** — unknown keys and out-of-range values raise
   :class:`SpecError` carrying the offending field's dotted path, never
   a silently-defaulted run.
@@ -19,13 +18,7 @@ import pytest
 
 from repro import api
 from repro.errors import SpecError
-from repro.scenario import (
-    ScenarioSpec,
-    load_spec_file,
-    parse_spec_text,
-    resolve_scenario,
-    resolve_spec,
-)
+from repro.scenario import load_spec_file, parse_spec_text, resolve_scenario
 from repro.service.loadgen import run_slo_scenario
 from repro.service.scenarios import SCENARIO_REGISTRY, Scenario, get_scenario
 
@@ -47,10 +40,9 @@ class TestRegistryRoundTrip:
         "scenario", _all_registry_scenarios(), ids=lambda s: s.name
     )
     def test_byte_identical_dict_round_trip(self, scenario):
-        spec = ScenarioSpec.from_scenario(scenario)
-        first = json.dumps(spec.to_dict(), sort_keys=True)
+        first = json.dumps(scenario.to_dict(), sort_keys=True)
         second = json.dumps(
-            ScenarioSpec.from_dict(spec.to_dict()).to_dict(), sort_keys=True
+            Scenario.from_dict(scenario.to_dict()).to_dict(), sort_keys=True
         )
         assert first == second
 
@@ -58,7 +50,7 @@ class TestRegistryRoundTrip:
         "scenario", _all_registry_scenarios(), ids=lambda s: s.name
     )
     def test_reconstructs_an_equal_scenario(self, scenario):
-        rebuilt = ScenarioSpec.from_scenario(scenario).to_scenario()
+        rebuilt = Scenario.from_dict(scenario.to_dict())
         assert type(rebuilt) is type(scenario)
         assert rebuilt == scenario
 
@@ -66,15 +58,15 @@ class TestRegistryRoundTrip:
         assert resolve_scenario("quick") == get_scenario("quick")
 
     def test_cluster_spec_kind(self):
-        spec = ScenarioSpec.from_scenario(get_scenario("planet-quick"))
+        spec = get_scenario("planet-quick")
         assert spec.kind == "cluster"
         assert "interconnect" in spec.to_dict()
-        scenario = spec.to_scenario()
+        scenario = Scenario.from_dict(spec.to_dict())
         assert scenario.kind == "cluster"
         assert scenario.config.n_nodes == 4
 
     def test_service_spec_omits_cluster_keys(self):
-        record = ScenarioSpec.from_scenario(get_scenario("quick")).to_dict()
+        record = get_scenario("quick").to_dict()
         assert "interconnect" not in record
         assert "n_users" not in record
 
@@ -87,41 +79,41 @@ class TestStrictValidation:
 
     def test_missing_schema_tag(self):
         with pytest.raises(SpecError, match="schema"):
-            ScenarioSpec.from_dict({"name": "t"})
+            Scenario.from_dict({"name": "t"})
 
     def test_unknown_top_level_key(self):
         with pytest.raises(SpecError, match="wat: unknown field"):
-            ScenarioSpec.from_dict(self._minimal(wat=1))
+            Scenario.from_dict(self._minimal(wat=1))
 
     def test_unknown_config_field_has_dotted_path(self):
         with pytest.raises(SpecError, match=r"config\.max_bacth"):
-            ScenarioSpec.from_dict(
+            Scenario.from_dict(
                 self._minimal(config={"max_bacth": 16})
             )
 
     def test_cluster_config_field_hint_on_service_kind(self):
         with pytest.raises(SpecError, match="cluster-config field"):
-            ScenarioSpec.from_dict(self._minimal(config={"n_nodes": 4}))
+            Scenario.from_dict(self._minimal(config={"n_nodes": 4}))
 
     def test_out_of_range_controller_value_has_path(self):
         with pytest.raises(
             SpecError, match=r"config\.controller: controller window"
         ):
-            ScenarioSpec.from_dict(
+            Scenario.from_dict(
                 self._minimal(config={"controller": {"window_cycles": 0}})
             )
 
     def test_wrongly_typed_config_value(self):
         with pytest.raises(SpecError, match=r"config\.max_batch"):
-            ScenarioSpec.from_dict(self._minimal(config={"max_batch": "big"}))
+            Scenario.from_dict(self._minimal(config={"max_batch": "big"}))
 
     def test_boolean_is_not_an_int(self):
         with pytest.raises(SpecError, match=r"config\.max_batch"):
-            ScenarioSpec.from_dict(self._minimal(config={"max_batch": True}))
+            Scenario.from_dict(self._minimal(config={"max_batch": True}))
 
     def test_unknown_controller_field_has_path(self):
         with pytest.raises(SpecError, match=r"config\.controller\.window"):
-            ScenarioSpec.from_dict(
+            Scenario.from_dict(
                 self._minimal(config={"controller": {"window": 1}})
             )
 
@@ -129,7 +121,7 @@ class TestStrictValidation:
         with pytest.raises(
             SpecError, match=r"config\.controller\.techniques\[1\]"
         ):
-            ScenarioSpec.from_dict(
+            Scenario.from_dict(
                 self._minimal(
                     config={
                         "controller": {"techniques": ["CORO", "warpdrive"]}
@@ -139,19 +131,19 @@ class TestStrictValidation:
 
     def test_cluster_only_keys_rejected_for_service_kind(self):
         with pytest.raises(SpecError, match="interconnect"):
-            ScenarioSpec.from_dict(self._minimal(interconnect="planet"))
+            Scenario.from_dict(self._minimal(interconnect="planet"))
 
     def test_unknown_arrival_kind(self):
         with pytest.raises(SpecError, match="arrival"):
-            ScenarioSpec.from_dict(self._minimal(arrival={"kind": "uniform"}))
+            Scenario.from_dict(self._minimal(arrival={"kind": "uniform"}))
 
     def test_unknown_fault_profile(self):
         with pytest.raises(SpecError, match="fault_profile"):
-            ScenarioSpec.from_dict(self._minimal(fault_profile="gremlins"))
+            Scenario.from_dict(self._minimal(fault_profile="gremlins"))
 
     def test_unknown_technique(self):
         with pytest.raises(SpecError, match="techniques"):
-            ScenarioSpec.from_dict(self._minimal(techniques=["warpdrive"]))
+            Scenario.from_dict(self._minimal(techniques=["warpdrive"]))
 
 
 class TestParsing:
@@ -199,9 +191,9 @@ class TestParsing:
         )
         assert resolve_scenario(f"file:{path}").name == "from-file"
 
-    def test_resolve_spec_rejects_garbage(self):
+    def test_resolve_scenario_rejects_garbage(self):
         with pytest.raises(SpecError, match="reference"):
-            resolve_spec(42)
+            resolve_scenario(42)
 
 
 class TestShippedSpecs:
@@ -246,11 +238,3 @@ class TestDeprecatedScenarioKeyword:
             warnings.simplefilter("error", DeprecationWarning)
             api.serve("quick")
 
-
-class TestSubclassPassThrough:
-    def test_unknown_scenario_subclass_is_not_flattened(self):
-        class Custom(Scenario):
-            pass
-
-        custom = Custom(name="custom", description="", loads=(0.5,))
-        assert resolve_scenario(custom) is custom
