@@ -12,8 +12,6 @@ executor-tagged operator profiles whose cycles sum to the total, and a
 traced run emits one ``operator`` span per charge window.
 """
 
-import numpy as np
-
 from repro.analysis import format_size, series_table
 
 LLC = 25 << 20
@@ -109,20 +107,15 @@ def test_fig8_points_carry_operator_plans(query_sweep):
 def test_fig8_traced_point_emits_operator_spans():
     """One traced run: each charging operator emits ``operator`` spans."""
     from repro.api import run_plan
-    from repro.columnstore.column import EncodedColumn
-    from repro.columnstore.dictionary import MainDictionary
     from repro.config import HASWELL
     from repro.obs import SpanRecorder
-
-    allocator_page = HASWELL.page_size
     from repro.sim.allocator import AddressSpaceAllocator
+    from repro.workloads.generators import synthetic_in_predicate
 
-    allocator = AddressSpaceAllocator(page_size=allocator_page)
-    dictionary = MainDictionary.implicit(allocator, "dict", 1 << 20)
-    rng = np.random.RandomState(0)
-    codes = rng.randint(0, dictionary.n_values, 20_000)
-    column = EncodedColumn(dictionary, codes, allocator, "col")
-    values = rng.randint(0, dictionary.n_values, 64).tolist()
+    column, values = synthetic_in_predicate(
+        AddressSpaceAllocator(page_size=HASWELL.page_size),
+        "main", 1 << 20, n_predicates=64, n_rows=20_000,
+    )
 
     recorder = SpanRecorder()
     result = run_plan(

@@ -26,7 +26,7 @@ def q8_demo() -> None:
     results = workload.table.query_in(
         engine, "ca_zip", workload.predicates, strategy="interleaved"
     )
-    found = sum(result.rows.size for result in results.values())
+    found = sum(rows.size for rows in results.values())
     print(f"TPC-DS Q8 style: {len(workload.predicates)} predicate zips over "
           f"{workload.table.n_rows} rows -> {found} matching rows "
           f"(expected {workload.expected_matches})")

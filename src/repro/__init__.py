@@ -122,7 +122,6 @@ from repro.columnstore import (
     DeltaStore,
     EncodedColumn,
     MainDictionary,
-    run_in_predicate,
 )
 from repro.query import (
     Aggregate,
@@ -235,7 +234,6 @@ __all__ = [
     "EncodedColumn",
     "DeltaStore",
     "ColumnTable",
-    "run_in_predicate",
     "Aggregate",
     "Filter",
     "IndexJoin",

@@ -564,32 +564,33 @@ def _plan_main(argv: list[str]) -> int:
             file=sys.stderr,
         )
         return 2
-    for knob in ("predicates", "dict_bytes"):
-        if getattr(args, knob) <= 0:
-            print(f"plan: --{knob.replace('_', '-')} must be positive", file=sys.stderr)
+    for knob in (
+        "predicates", "dict_bytes", "rows", "group_size", "scan_batch",
+        "probe_batch", "task_buffer", "match_buffer",
+    ):
+        value = getattr(args, knob)
+        if value is not None and value < 1:
+            print(
+                f"plan: --{knob.replace('_', '-')} must be >= 1, got {value}",
+                file=sys.stderr,
+            )
             return 2
 
-    import numpy as np
-
     from repro import api
-    from repro.columnstore.column import EncodedColumn
-    from repro.columnstore.dictionary import DeltaDictionary, MainDictionary
     from repro.config import HASWELL
     from repro.errors import ReproError
     from repro.sim.allocator import AddressSpaceAllocator
+    from repro.workloads.generators import synthetic_in_predicate
 
     try:
-        allocator = AddressSpaceAllocator(page_size=HASWELL.page_size)
-        dictionary = (
-            MainDictionary.implicit(allocator, "dict", args.dict_bytes)
-            if args.store == "main"
-            else DeltaDictionary.implicit(allocator, "dict", args.dict_bytes)
+        column, predicates = synthetic_in_predicate(
+            AddressSpaceAllocator(page_size=HASWELL.page_size),
+            args.store,
+            args.dict_bytes,
+            args.predicates,
+            args.rows,
+            args.seed,
         )
-        n_rows = args.rows or 400 * args.predicates
-        rng = np.random.RandomState(args.seed)
-        codes = rng.randint(0, dictionary.n_values, n_rows)
-        column = EncodedColumn(dictionary, codes, allocator, "col")
-        predicates = rng.randint(0, dictionary.n_values, args.predicates).tolist()
         result = api.run_plan(
             column,
             predicates,
@@ -610,7 +611,7 @@ def _plan_main(argv: list[str]) -> int:
             "store": args.store,
             "dict_bytes": args.dict_bytes,
             "n_predicates": args.predicates,
-            "n_rows": n_rows,
+            "n_rows": column.n_rows,
             "seed": args.seed,
             "strategy": result.strategy,
             "group_size": result.group_size,
@@ -622,7 +623,7 @@ def _plan_main(argv: list[str]) -> int:
     else:
         print(
             f"{args.store} store, {args.dict_bytes:,} B dictionary, "
-            f"{args.predicates:,} predicates over {n_rows:,} rows"
+            f"{args.predicates:,} predicates over {column.n_rows:,} rows"
         )
         print(result.render())
     return 0

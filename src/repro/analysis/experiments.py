@@ -39,6 +39,7 @@ from repro.workloads.generators import (
     lookup_values,
     make_table,
     sorted_lookup_values,
+    synthetic_in_predicate,
 )
 
 __all__ = [
@@ -304,54 +305,48 @@ def measure_query(
     """Measure one IN-predicate query point over Main or Delta."""
     import numpy as np
 
-    from repro.columnstore.column import EncodedColumn
-    from repro.columnstore.dictionary import DeltaDictionary, MainDictionary
-    from repro.columnstore.query import run_in_predicate
+    from repro.query import in_predicate_plan
 
-    if n_rows is None:
-        # Keep the scan:encode ratio scale-independent (the paper's full
-        # workload pairs 10 K predicates with a multi-million-row scan).
-        n_rows = 400 * n_predicates
     allocator = AddressSpaceAllocator(page_size=arch.page_size)
-    if store == "main":
-        dictionary = MainDictionary.implicit(allocator, "dict", dict_bytes)
-        warm_regions = [dictionary.array.region]
-    elif store == "delta":
-        dictionary = DeltaDictionary.implicit(allocator, "dict", dict_bytes)
-        warm_regions = [dictionary.tree.region, dictionary.dict_view.region]
-    else:
-        raise WorkloadError(f"store must be main or delta, not {store!r}")
-
-    n_values = dictionary.n_values
-    rng = np.random.RandomState(seed)
-    codes = rng.randint(0, n_values, n_rows)
-    column = EncodedColumn(dictionary, codes, allocator, "col")
-
-    predicates = rng.randint(0, n_values, n_predicates).tolist()
+    column, predicates = synthetic_in_predicate(
+        allocator, store, dict_bytes, n_predicates, n_rows, seed
+    )
+    dictionary = column.dictionary
+    warm_regions = (
+        [dictionary.array.region]
+        if store == "main"
+        else [dictionary.tree.region, dictionary.dict_view.region]
+    )
     warm_predicates = np.random.RandomState(seed + 977).randint(
-        0, n_values, n_predicates
+        0, dictionary.n_values, n_predicates
     ).tolist()
 
+    def run(engine, values):
+        plan = in_predicate_plan(
+            column, values, strategy=strategy, group_size=group_size
+        )
+        return plan.execute(engine)
+
     engine = warmed_engine(
-        arch,
-        warm_regions,
-        lambda warm: run_in_predicate(
-            warm, column, warm_predicates,
-            strategy=strategy, group_size=group_size,
-        ),
+        arch, warm_regions, lambda warm: run(warm, warm_predicates)
     )
-    result = run_in_predicate(
-        engine, column, predicates, strategy=strategy, group_size=group_size
+    result = run(engine, predicates)
+    # Table 1's "locate" is the encode join plus its zero-cost feeders.
+    locate_cycles = sum(
+        result.profile(label).cycles
+        for label in (
+            "in_predicate_encode/values", "in_predicate_encode", "filter_found"
+        )
     )
     return QueryPoint(
         store=store,
         strategy=strategy,
         dict_bytes=dict_bytes,
         n_predicates=n_predicates,
-        n_rows=n_rows,
+        n_rows=column.n_rows,
         total_cycles=result.total_cycles,
-        locate_cycles=result.locate.cycles,
-        scan_cycles=result.scan.cycles,
-        locate_tmam=result.locate.tmam,
-        operators=tuple(op.as_dict() for op in result.operators),
+        locate_cycles=locate_cycles,
+        scan_cycles=result.profile("scan").cycles,
+        locate_tmam=result.profile("in_predicate_encode").tmam,
+        operators=tuple(op.as_dict() for op in result.profiles),
     )

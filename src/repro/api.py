@@ -182,7 +182,8 @@ class PlanRunResult:
     """One IN-predicate query executed as an operator plan."""
 
     #: Encode strategy that actually ran (resolved from the policy when
-    #: not forced) and its group size.
+    #: not forced, ``"sequential"`` when the store fell back) and its
+    #: group size.
     strategy: str
     group_size: int
     #: Matching row indices, in row order.
@@ -440,9 +441,11 @@ def run_plan(
     Builds the Figure 1/8 pipeline (literal scan → index-join encode →
     filter → semi-join column scan → aggregate) over ``column``,
     executes it, and reports per-operator cycle profiles. ``strategy``
-    and ``group_size`` resolve exactly as :func:`repro.run_in_predicate`
-    does (policy-driven when unset); batching and buffer knobs stream
-    the plan instead of running it in one batch per operator.
+    and ``group_size`` resolve through
+    :meth:`~repro.columnstore.EncodedColumn.resolve_locate_execution`
+    (policy-driven when unset); batching and buffer knobs stream the plan
+    instead of running it in one batch per operator. Sizes below 1 raise
+    :class:`~repro.errors.QueryError`.
     """
     from repro.query import in_predicate_plan
     from repro.sim.engine import ExecutionEngine
@@ -462,8 +465,8 @@ def run_plan(
     result = plan.execute(engine, recorder=recorder)
     encode = result.profile("in_predicate_encode")
     return PlanRunResult(
-        strategy=str(encode.attrs.get("strategy", strategy or "?")),
-        group_size=int(encode.attrs.get("group_size", group_size or 0)),
+        strategy=encode.attrs["strategy"],
+        group_size=encode.attrs["group_size"],
         rows=tuple(int(row) for row in result.value),
         operators=result.profiles,
         plan=plan.describe(),

@@ -7,7 +7,6 @@ from repro.columnstore.dictionary import (
     MainDictionary,
     delta_locate_stream,
 )
-from repro.columnstore.query import PhaseProfile, QueryResult, run_in_predicate
 from repro.columnstore.scan import scan_matching_rows, scan_stream
 from repro.columnstore.table import ColumnTable
 
@@ -19,9 +18,6 @@ __all__ = [
     "DeltaDictionary",
     "MainDictionary",
     "delta_locate_stream",
-    "PhaseProfile",
-    "QueryResult",
-    "run_in_predicate",
     "scan_matching_rows",
     "scan_stream",
     "ColumnTable",

@@ -3,12 +3,13 @@
 The encoded representation of Section 2.1: the dictionary maps values to
 a dense integer range, and the column body is the vector of codes. Bulk
 ``locate`` over a list of values is the index join S |><| D this paper is
-about; :meth:`EncodedColumn.encode_values` exposes it under every
-execution strategy (sequential, GP, AMAC, coroutines) by dispatching
-through the executor registry. When no strategy is forced, the
-calibration-driven :func:`~repro.interleaving.policies.choose_policy`
-decides — small dictionaries run sequentially, DRAM-resident ones
-interleave at the Inequality-1 group size.
+about. The ``repro.query`` plan (:func:`repro.query.in_predicate_plan`)
+runs it; this module decides how. It owns the encode strategies, the
+executor each one runs on, and the executors each dictionary store has a
+workload for. When no strategy is forced, the calibration-driven
+:func:`~repro.interleaving.policies.choose_policy_for_bytes` decides —
+small dictionaries run sequentially, DRAM-resident ones interleave at the
+Inequality-1 group size.
 """
 
 from __future__ import annotations
@@ -21,7 +22,11 @@ from repro.errors import ColumnStoreError
 from repro.indexes.base import INVALID_CODE
 from repro.indexes.binary_search import DEFAULT_COSTS, SearchCosts
 from repro.interleaving.executor import BulkLookup, get_executor
-from repro.interleaving.policies import ExecutionPolicy, choose_policy_for_bytes
+from repro.interleaving.policies import (
+    ADAPTIVE_CANDIDATES,
+    ExecutionPolicy,
+    choose_policy_for_bytes,
+)
 from repro.sim.allocator import AddressSpaceAllocator
 from repro.sim.engine import ExecutionEngine
 
@@ -29,15 +34,24 @@ from repro.columnstore.dictionary import DeltaDictionary, MainDictionary
 
 __all__ = ["EncodedColumn", "ENCODE_STRATEGIES"]
 
-#: Execution strategies understood by :meth:`EncodedColumn.encode_values`.
-ENCODE_STRATEGIES = ("sequential", "interleaved", "gp", "amac")
-
-#: Historic strategy names -> executor registry keys.
+#: Encode strategies (the names reports carry) -> executor registry keys.
 _STRATEGY_EXECUTORS = {
     "sequential": "sequential",
     "interleaved": "coro",
     "gp": "gp",
     "amac": "amac",
+}
+
+#: Execution strategies a bulk locate accepts.
+ENCODE_STRATEGIES = tuple(_STRATEGY_EXECUTORS)
+
+#: Executors each dictionary store has a bulk-locate workload for. The
+#: coroutine streams serve both stores (the paper's practicality
+#: argument); GP and AMAC rewrite the sorted-array binary search, so only
+#: the Main dictionary has them.
+_STORE_EXECUTORS = {
+    MainDictionary: frozenset({"sequential", "coro", "gp", "amac"}),
+    DeltaDictionary: frozenset({"sequential", "coro"}),
 }
 
 
@@ -85,30 +99,26 @@ class EncodedColumn:
         return int(self.codes.size)
 
     @property
-    def dictionary_bytes(self) -> int:
-        """Dictionary footprint ``locate`` walks (the paper's x-axis)."""
-        return self.dictionary.nbytes
+    def locate_executors(self) -> frozenset[str]:
+        """Executor registry keys this column's store can locate with."""
+        return _STORE_EXECUTORS[type(self.dictionary)]
 
     def locate_policy(
         self, engine: ExecutionEngine, n_lookups: int
     ) -> ExecutionPolicy:
         """Pick the execution policy for a bulk locate of ``n_lookups``.
 
-        Delta dictionaries restrict the candidates to the coroutine
-        scheduler — GP and AMAC only have the sorted-array rewrite, which
-        is the paper's maintenance-cost argument in policy form.
+        The candidates are the interleaving techniques the store supports:
+        Delta dictionaries leave only the coroutine scheduler, which is
+        the paper's maintenance-cost argument in policy form.
         """
-        candidates = (
-            ("gp", "amac", "coro")
-            if isinstance(self.dictionary, MainDictionary)
-            else ("coro",)
+        candidates = tuple(
+            technique
+            for technique in ADAPTIVE_CANDIDATES
+            if technique in self.locate_executors
         )
         return choose_policy_for_bytes(
-            engine.arch,
-            self.dictionary_bytes,
-            n_lookups,
-            technique=None,
-            candidates=candidates,
+            engine.arch, self.dictionary.nbytes, n_lookups, candidates=candidates
         )
 
     def decode_row(self, row: int) -> int:
@@ -152,64 +162,56 @@ class EncodedColumn:
         engine: ExecutionEngine,
         n_lookups: int,
         *,
-        strategy: str | None = "sequential",
+        strategy: str | None = None,
         group_size: int | None = None,
-        policy: ExecutionPolicy | None = None,
-    ) -> tuple[str, int]:
-        """Resolve the ``(strategy, group_size)`` a bulk locate will use.
+    ) -> tuple[str, str, int]:
+        """Resolve ``(strategy, executor_name, group_size)`` for a bulk locate.
 
-        ``strategy=None`` defers to ``policy`` (or, when that is also
-        unset, to :meth:`locate_policy`'s calibration-driven choice);
-        an explicit strategy always wins. This is the resolution step of
-        :meth:`encode_values`, split out so the ``repro.query`` plan
-        operators resolve exactly the way the bulk entry point does.
+        An explicit ``strategy`` wins and runs at G=6 unless
+        ``group_size`` says otherwise. ``strategy=None`` defers to
+        :meth:`locate_policy`'s calibration-driven choice and its group
+        size. Either way the executor is the strategy's registry key.
         """
         if strategy is None:
-            if policy is None:
-                policy = self.locate_policy(engine, n_lookups)
-            strategy = (
-                "interleaved" if policy.technique.lower() == "coro"
-                else policy.technique.lower()
-            ) if policy.interleave else "sequential"
-            group_size = group_size or policy.group_size
-        if strategy not in ENCODE_STRATEGIES:
+            policy = self.locate_policy(engine, n_lookups)
+            executor = policy.executor_name.lower()
+            strategy = next(
+                name for name, key in _STRATEGY_EXECUTORS.items() if key == executor
+            )
+            if group_size is None:
+                group_size = policy.group_size
+        elif strategy not in _STRATEGY_EXECUTORS:
             raise ColumnStoreError(
                 f"unknown strategy {strategy!r}; expected one of {ENCODE_STRATEGIES}"
             )
-        return strategy, group_size or 6
+        return (
+            strategy,
+            _STRATEGY_EXECUTORS[strategy],
+            6 if group_size is None else group_size,
+        )
 
     def locate_job(
         self,
         values: Sequence[int],
-        strategy: str,
+        executor_name: str,
         costs: SearchCosts = DEFAULT_COSTS,
     ):
-        """Bulk-locate workload for ``strategy``: ``(executor_name, job, post)``.
+        """Bulk-locate workload for one executor: ``(job, post)`` or ``None``.
 
         ``job`` is the :class:`BulkLookup` to hand the named executor and
         ``post`` maps its raw results to one code per input
-        (``INVALID_CODE`` for absent values). GP and AMAC are only
-        available for Main dictionaries (they are binary-search
-        rewrites); the coroutine strategies work for both stores — the
-        paper's practicality argument.
+        (``INVALID_CODE`` for absent values). ``None`` means the store
+        has no workload for that executor (see :attr:`locate_executors`).
         """
-        if strategy not in ENCODE_STRATEGIES:
-            raise ColumnStoreError(
-                f"unknown strategy {strategy!r}; expected one of {ENCODE_STRATEGIES}"
-            )
+        executor_name = executor_name.lower()
+        if executor_name not in self.locate_executors:
+            return None
         dictionary = self.dictionary
-        executor_name = _STRATEGY_EXECUTORS[strategy]
-        if strategy in ("sequential", "interleaved"):
+        if executor_name in ("sequential", "coro"):
             job = BulkLookup.stream(
                 lambda v, il: dictionary.locate_stream(v, il, costs), values
             )
-            return executor_name, job, lambda raw: raw
-        if not isinstance(dictionary, MainDictionary):
-            raise ColumnStoreError(
-                f"{strategy} was only implemented for the sorted Main "
-                "dictionary; rewriting it for the Delta tree is exactly "
-                "the cost the paper's coroutines avoid"
-            )
+            return job, lambda raw: raw
         job = BulkLookup.sorted_array(dictionary.array, values, costs)
 
         def membership(lows: Sequence[int]) -> list[int]:
@@ -221,30 +223,4 @@ class EncodedColumn:
                 for low, value in zip(lows, values)
             ]
 
-        return executor_name, job, membership
-
-    def encode_values(
-        self,
-        engine: ExecutionEngine,
-        values: Sequence[int],
-        *,
-        strategy: str | None = "sequential",
-        group_size: int | None = None,
-        costs: SearchCosts = DEFAULT_COSTS,
-        policy: ExecutionPolicy | None = None,
-    ) -> list[int]:
-        """Locate every value, with the chosen execution strategy.
-
-        Returns one code per input (``INVALID_CODE`` for absent values).
-        See :meth:`resolve_locate_execution` for how ``strategy=None``
-        defers to the calibration-driven policy, and :meth:`locate_job`
-        for which executors each store supports.
-        """
-        strategy, group_size = self.resolve_locate_execution(
-            engine, len(values),
-            strategy=strategy, group_size=group_size, policy=policy,
-        )
-        executor_name, job, post = self.locate_job(values, strategy, costs)
-        return post(
-            get_executor(executor_name).run(job, engine, group_size=group_size)
-        )
+        return job, membership

@@ -15,12 +15,12 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import ColumnStoreError
+from repro.query import in_predicate_plan
 from repro.sim.allocator import AddressSpaceAllocator
 from repro.sim.engine import ExecutionEngine
 
 from repro.columnstore.column import EncodedColumn
 from repro.columnstore.delta import DeltaStore, merge_delta_into_main
-from repro.columnstore.query import QueryResult, run_in_predicate
 
 __all__ = ["ColumnTable"]
 
@@ -93,32 +93,28 @@ class ColumnTable:
         *,
         strategy: str | None = None,
         group_size: int | None = None,
-    ) -> dict[str, QueryResult]:
-        """IN-predicate query over both parts; results keyed by part name.
+    ) -> dict[str, np.ndarray]:
+        """IN-predicate query over both parts: matching rows keyed by part.
 
-        ``strategy=None`` lets each part pick its own calibration-driven
-        policy (the Delta's candidate set is coroutine-only).
+        Each part runs its own ``repro.query`` plan. ``strategy=None``
+        lets each part pick its own calibration-driven policy (the
+        Delta's candidate set is coroutine-only); a strategy the Delta
+        tree has no workload for (GP, AMAC) takes the plan's sequential
+        fallback there.
         """
         self._check_column(column)
-        results: dict[str, QueryResult] = {}
-        main = self._main[column]
-        if main is not None:
-            results["main"] = run_in_predicate(
-                engine, main, predicate_values,
-                strategy=strategy, group_size=group_size,
-            )
+        parts = {"main": self._main[column]}
         delta = self._delta[column]
         if delta.n_rows:
-            # GP/AMAC are sorted-array rewrites; the Delta tree falls back.
-            delta_strategy = (
-                strategy
-                if strategy in (None, "sequential", "interleaved")
-                else "sequential"
+            parts["delta"] = delta.as_column()
+        results: dict[str, np.ndarray] = {}
+        for part, encoded in parts.items():
+            if encoded is None:
+                continue
+            plan = in_predicate_plan(
+                encoded, predicate_values, strategy=strategy, group_size=group_size
             )
-            results["delta"] = run_in_predicate(
-                engine, delta.as_column(), predicate_values,
-                strategy=delta_strategy, group_size=group_size,
-            )
+            results[part] = np.asarray(plan.execute(engine).value, dtype=np.int64)
         return results
 
     def query_in_conjunctive(
@@ -141,22 +137,16 @@ class ColumnTable:
             raise ColumnStoreError("need at least one predicated column")
         for column in predicates:
             self._check_column(column)
-        part_rows: dict[str, np.ndarray | None] = {"main": None, "delta": None}
+        part_rows: dict[str, np.ndarray] = {}
         for column, values in predicates.items():
             results = self.query_in(
                 engine, column, values, strategy=strategy, group_size=group_size
             )
-            for part in ("main", "delta"):
-                if part not in results:
-                    continue
-                rows = results[part].rows
-                if part_rows[part] is None:
-                    part_rows[part] = rows
-                else:
-                    part_rows[part] = np.intersect1d(part_rows[part], rows)
-        return {
-            part: rows for part, rows in part_rows.items() if rows is not None
-        }
+            for part, rows in results.items():
+                if part in part_rows:
+                    rows = np.intersect1d(part_rows[part], rows)
+                part_rows[part] = rows
+        return part_rows
 
     def matching_row_values(self, column: str, predicate_values) -> list[int]:
         """Brute-force oracle: row values that satisfy the IN predicate."""

@@ -58,6 +58,8 @@ __all__ = [
 #: Default bound of the producer-side task buffer (outer-key batches
 #: fetched ahead of the probe stage) and the consumer-side match buffer.
 DEFAULT_BUFFER = 8
+#: Group size of the sequential probe path batches fall back to.
+FALLBACK_GROUP_SIZE = 1
 
 
 def _merge_tmam(into: TmamStats, delta: TmamStats) -> None:
@@ -175,8 +177,8 @@ class Operator:
         self.label = label or self.kind
         #: When set, every emitted row is also appended to
         #: ``ctx.extras[label]`` — a side-channel tap for callers that
-        #: need an intermediate relation (the legacy shim reads the
-        #: pre-filter code list this way).
+        #: need an intermediate relation (the IN-predicate plan publishes
+        #: its pre-filter code list this way).
         self.tee = tee
 
     def children(self) -> tuple["Operator", ...]:
@@ -416,42 +418,23 @@ class SortedArrayInner(InnerIndex):
 class DictionaryInner(InnerIndex):
     """A column's dictionary (Main or Delta) as the join's inner side.
 
-    Routes through :meth:`EncodedColumn.locate_job`, so the per-executor
-    workload choice (coroutine stream vs. sorted-array rewrite) and the
-    GP/AMAC-on-Delta refusal are exactly the bulk path's: executors the
-    store has no rewrite for fall back to the sequential probe path.
+    Routes through :meth:`EncodedColumn.locate_job`, so the column
+    decides which executors its store has a workload for (coroutine
+    stream vs. sorted-array rewrite); the rest take the sequential probe
+    path.
     """
 
     description = "dictionary"
-
-    #: Executor registry keys -> encode strategies (the inverse of the
-    #: column layer's strategy table, plus the identity spellings).
-    _EXECUTOR_STRATEGIES = {
-        "sequential": "sequential",
-        "coro": "interleaved",
-        "gp": "gp",
-        "amac": "amac",
-    }
 
     def __init__(self, column, costs: SearchCosts = DEFAULT_COSTS) -> None:
         self.column = column
         self.costs = costs
 
     def job(self, keys: Sequence, executor_name: str):
-        from repro.errors import ColumnStoreError
-
-        strategy = self._EXECUTOR_STRATEGIES.get(executor_name.lower())
-        if strategy is None:
-            return None  # no dictionary rewrite for this executor
-        try:
-            _, job, post = self.column.locate_job(keys, strategy, self.costs)
-        except ColumnStoreError:
-            return None  # e.g. GP/AMAC against the Delta tree
-        return job, post
+        return self.column.locate_job(keys, executor_name, self.costs)
 
     def fallback_job(self, keys: Sequence):
-        _, job, post = self.column.locate_job(keys, "sequential", self.costs)
-        return job, post
+        return self.column.locate_job(keys, "sequential", self.costs)
 
 
 class IndexJoin(Operator):
@@ -583,7 +566,7 @@ class IndexJoin(Operator):
                 raise QueryError(
                     f"inner index {inner.description!r} has no sequential fallback"
                 )
-            path, run_executor, run_group = "fallback", fallback, 1
+            path, run_executor, run_group = "fallback", fallback, FALLBACK_GROUP_SIZE
         with ctx.charge(
             self, executor=run_executor.name, path=path, n_keys=len(keys)
         ) as stats:
@@ -614,9 +597,11 @@ class InPredicateEncode(IndexJoin):
     predicate list, the inner side the column's dictionary, and the
     output one code per input value (``INVALID_CODE`` for absent
     literals, order preserved). Strategy and group size resolve at run
-    time exactly like :meth:`EncodedColumn.encode_values` — explicit
-    ``strategy`` wins, else the supplied ``policy``, else the
-    calibration-driven :meth:`EncodedColumn.locate_policy`.
+    time through :meth:`EncodedColumn.resolve_locate_execution` — an
+    explicit ``strategy`` wins, else the calibration-driven
+    :meth:`EncodedColumn.locate_policy`. The profile's ``strategy`` and
+    ``group_size`` report what ran: a strategy the store has no workload
+    for takes the sequential fallback and is reported as such.
     """
 
     kind = "in_predicate_encode"
@@ -628,7 +613,6 @@ class InPredicateEncode(IndexJoin):
         *,
         strategy: str | None = None,
         group_size: int | None = None,
-        policy=None,
         costs: SearchCosts = DEFAULT_COSTS,
         probe_batch: int | None = None,
         task_buffer: int = DEFAULT_BUFFER,
@@ -639,7 +623,6 @@ class InPredicateEncode(IndexJoin):
         self.column = column
         self.values = list(values)
         self.strategy = strategy
-        self.policy = policy
         super().__init__(
             Scan.values(self.values, batch_size=probe_batch, label=f"{label}/values"),
             DictionaryInner(column, costs),
@@ -653,18 +636,20 @@ class InPredicateEncode(IndexJoin):
         )
 
     def _execution(self, ctx: PlanContext) -> tuple[str, int | None]:
-        from repro.columnstore.column import _STRATEGY_EXECUTORS
-
-        strategy, group_size = self.column.resolve_locate_execution(
+        strategy, executor_name, group_size = self.column.resolve_locate_execution(
             ctx.engine,
             len(self.values),
             strategy=self.strategy,
             group_size=self.group_size,
-            policy=self.policy,
         )
-        stats = ctx.stats_for(self)
-        stats.attrs["strategy"] = strategy
-        return _STRATEGY_EXECUTORS[strategy], group_size
+        ctx.stats_for(self).attrs["strategy"] = strategy
+        return executor_name, group_size
+
+    def run(self, ctx: PlanContext) -> Iterator[list]:
+        yield from super().run(ctx)
+        attrs = ctx.stats_for(self).attrs
+        if attrs.get("batches_via_fallback"):
+            attrs.update(strategy="sequential", group_size=FALLBACK_GROUP_SIZE)
 
 
 # ----------------------------------------------------------------------

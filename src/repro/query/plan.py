@@ -17,10 +17,11 @@ Figure 1/8 query as a real operator pipeline::
                         └── Scan(IN-list literals)
 
 With all batch sizes and buffers at their defaults (one batch, buffers
-of one) it charges *exactly* the cycles the legacy two-phase
-``run_in_predicate`` routine did — pinned bit-identical by golden
-tests — while non-default batching streams the same rows in the same
-order through bounded buffers.
+of one) it charges exactly the cycles of the original two-phase
+encode-then-scan routine (golden tests pin the split), while
+non-default batching streams the same rows in the same order through
+bounded buffers. :func:`repro.api.run_plan` wraps it for callers that
+want a one-call query.
 """
 
 from __future__ import annotations
@@ -49,6 +50,16 @@ __all__ = [
     "QueryPlan",
     "in_predicate_plan",
 ]
+
+#: Fixed per-query engine work outside encode/scan: parsing and plan
+#: preparation.
+QUERY_FIXED_OVERHEAD_CYCLES = 50_000
+#: Predicate-list handling (expression tree, literal conversion) per
+#: IN-list value. Together with the scan this sizes ``locate``'s runtime
+#: share for a cache-resident dictionary near Table 1's in-cache values.
+QUERY_CYCLES_PER_PREDICATE = 120
+#: Result materialization per matching row.
+RESULT_CYCLES_PER_MATCH = 20
 
 
 @dataclass(frozen=True)
@@ -170,51 +181,46 @@ def in_predicate_plan(
     *,
     strategy: str | None = None,
     group_size: int | None = None,
-    policy=None,
     costs: SearchCosts = DEFAULT_COSTS,
     scan_batch: int | None = None,
     probe_batch: int | None = None,
     task_buffer: int | None = None,
     match_buffer: int | None = None,
-    overhead_model=None,
 ) -> QueryPlan:
     """Build the Figure 1/8 IN-predicate query as an operator plan.
 
-    Defaults (no batching, buffers of one) make execution charge-for-
-    charge identical to the historic two-phase routine; pass
-    ``scan_batch`` / ``probe_batch`` / buffer capacities to stream.
-    ``overhead_model(n_match_rows) -> cycles`` prices the work outside
-    the operators (plan preparation, literal handling, result
-    materialization); the default is the legacy cost model from
-    :mod:`repro.columnstore.query`.
+    ``None`` means the default for every size: the policy's group size,
+    one batch per scan, and buffers of one, which charge exactly the
+    cycles of the two-phase routine. Pass ``scan_batch`` /
+    ``probe_batch`` / buffer capacities to stream. Sizes below 1 raise
+    :class:`QueryError`.
     """
+    for name, value in (
+        ("group_size", group_size), ("scan_batch", scan_batch),
+        ("probe_batch", probe_batch), ("task_buffer", task_buffer),
+        ("match_buffer", match_buffer),
+    ):
+        if value is not None and value < 1:
+            raise QueryError(f"{name} must be >= 1, got {value}")
     predicate_values = list(predicate_values)
-    if overhead_model is None:
-        from repro.columnstore.query import (
-            QUERY_CYCLES_PER_PREDICATE,
-            QUERY_FIXED_OVERHEAD_CYCLES,
-            RESULT_CYCLES_PER_MATCH,
+    n_predicates = len(predicate_values)
+
+    def overhead(n_rows: int) -> int:
+        return (
+            QUERY_FIXED_OVERHEAD_CYCLES
+            + QUERY_CYCLES_PER_PREDICATE * n_predicates
+            + RESULT_CYCLES_PER_MATCH * n_rows
         )
-
-        n_predicates = len(predicate_values)
-
-        def overhead_model(n_rows: int) -> int:
-            return (
-                QUERY_FIXED_OVERHEAD_CYCLES
-                + QUERY_CYCLES_PER_PREDICATE * n_predicates
-                + RESULT_CYCLES_PER_MATCH * n_rows
-            )
 
     encode = InPredicateEncode(
         column,
         predicate_values,
         strategy=strategy,
         group_size=group_size,
-        policy=policy,
         costs=costs,
         probe_batch=probe_batch,
-        task_buffer=task_buffer or 1,
-        match_buffer=match_buffer or 1,
+        task_buffer=1 if task_buffer is None else task_buffer,
+        match_buffer=1 if match_buffer is None else match_buffer,
         tee=True,
     )
     scan = Scan.column_codes(
@@ -222,5 +228,5 @@ def in_predicate_plan(
         Filter.drop_misses(encode),
         batch_size=scan_batch,
     )
-    root = Aggregate(scan, "collect", cost_model=overhead_model, label="aggregate")
+    root = Aggregate(scan, "collect", cost_model=overhead, label="aggregate")
     return QueryPlan(root)

@@ -31,6 +31,7 @@ __all__ = [
     "lookup_indices",
     "lookup_values",
     "sorted_lookup_values",
+    "synthetic_in_predicate",
 ]
 
 MB = 1 << 20
@@ -87,3 +88,37 @@ def sorted_lookup_values(
 ) -> list:
     """Figure 4's preprocessing: the same values, sorted ascending."""
     return sorted(lookup_values(n_lookups, table, seed, element))
+
+
+def synthetic_in_predicate(
+    allocator: AddressSpaceAllocator,
+    store: str,
+    dict_bytes: int,
+    n_predicates: int,
+    n_rows: int | None = None,
+    seed: int = 0,
+):
+    """A synthetic IN-predicate query: ``(column, predicate_values)``.
+
+    The column encodes ``n_rows`` (default 400 per predicate, so the
+    scan:encode ratio is scale-independent) uniform random codes
+    against an implicit Main (sorted array) or Delta (CSB+-tree)
+    dictionary of ``dict_bytes``. The predicates are uniform over the
+    dictionary's values, drawn after the codes from the same
+    ``RandomState(seed)``.
+    """
+    from repro.columnstore import DeltaDictionary, EncodedColumn, MainDictionary
+
+    if store == "main":
+        dictionary = MainDictionary.implicit(allocator, "dict", dict_bytes)
+    elif store == "delta":
+        dictionary = DeltaDictionary.implicit(allocator, "dict", dict_bytes)
+    else:
+        raise WorkloadError(f"store must be main or delta, not {store!r}")
+    if n_rows is None:
+        n_rows = 400 * n_predicates
+    rng = np.random.RandomState(seed)
+    codes = rng.randint(0, dictionary.n_values, n_rows)
+    column = EncodedColumn(dictionary, codes, allocator, "col")
+    predicates = rng.randint(0, dictionary.n_values, n_predicates).tolist()
+    return column, predicates

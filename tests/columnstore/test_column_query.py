@@ -6,14 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.columnstore import (
+    ENCODE_STRATEGIES,
+    DeltaStore,
     EncodedColumn,
     MainDictionary,
-    run_in_predicate,
     scan_matching_rows,
 )
 from repro.config import HASWELL
 from repro.errors import ColumnStoreError
 from repro.indexes.base import INVALID_CODE
+from repro.query import in_predicate_plan
 from repro.sim import ExecutionEngine
 from repro.sim.allocator import AddressSpaceAllocator
 
@@ -22,6 +24,21 @@ def make_column(row_values, name="col"):
     return EncodedColumn.from_values(
         AddressSpaceAllocator(), name, np.asarray(row_values)
     )
+
+
+def run_query(column, predicates, engine=None, **kwargs):
+    """Execute the IN-predicate plan; returns the PlanResult."""
+    plan = in_predicate_plan(column, predicates, **kwargs)
+    return plan.execute(engine or ExecutionEngine(HASWELL))
+
+
+def encoded(result):
+    """The encode join's codes, one per predicate (INVALID_CODE misses)."""
+    return list(result.extras["in_predicate_encode"])
+
+
+def matched_rows(result):
+    return sorted(np.asarray(result.value).tolist())
 
 
 class TestEncodedColumn:
@@ -41,25 +58,20 @@ class TestEncodedColumn:
         with pytest.raises(ColumnStoreError):
             EncodedColumn(dictionary, np.array([0, 5]), alloc, "c")
 
-    def test_encode_values_all_strategies_agree(self):
+    def test_encode_all_strategies_agree(self):
         rng = np.random.RandomState(0)
         rows = rng.randint(0, 2_000, 4_000)
         column = make_column(rows)
         probes = rng.randint(-10, 2_010, 80).tolist()
-        results = {
-            strategy: column.encode_values(
-                ExecutionEngine(HASWELL), probes, strategy=strategy, group_size=6
-            )
-            for strategy in ("sequential", "interleaved", "gp", "amac")
-        }
         expected = [column.dictionary.locate(p) for p in probes]
-        for strategy, got in results.items():
-            assert got == expected, strategy
+        for strategy in ENCODE_STRATEGIES:
+            result = run_query(column, probes, strategy=strategy, group_size=6)
+            assert encoded(result) == expected, strategy
 
     def test_unknown_strategy_rejected(self):
         column = make_column([1, 2, 3])
         with pytest.raises(ColumnStoreError):
-            column.encode_values(ExecutionEngine(HASWELL), [1], strategy="spp")
+            run_query(column, [1], strategy="spp")
 
     def test_gp_rejected_for_delta(self):
         from repro.columnstore import DeltaDictionary
@@ -67,8 +79,9 @@ class TestEncodedColumn:
         alloc = AddressSpaceAllocator()
         delta_dict = DeltaDictionary.from_values(alloc, "dd", [3, 1, 2])
         column = EncodedColumn(delta_dict, np.array([0, 1, 2]), alloc, "c")
-        with pytest.raises(ColumnStoreError, match="Main"):
-            column.encode_values(ExecutionEngine(HASWELL), [1], strategy="gp")
+        assert column.locate_executors == {"sequential", "coro"}
+        for executor in ("gp", "amac"):
+            assert column.locate_job([1], executor) is None
 
 
 class TestPolicyDrivenEncode:
@@ -105,32 +118,15 @@ class TestPolicyDrivenEncode:
         rows = rng.randint(0, 400, 2_000)
         column = make_column(rows)
         predicates = rng.randint(0, 450, 30).tolist()
-        defaulted = run_in_predicate(ExecutionEngine(HASWELL), column, predicates)
-        forced = run_in_predicate(
-            ExecutionEngine(HASWELL), column, predicates, strategy="sequential"
-        )
+        defaulted = run_query(column, predicates)
+        forced = run_query(column, predicates, strategy="sequential")
         # The tiny dictionary fits the LLC, so the policy picks
         # sequential — identical results *and* identical cycles.
-        assert defaulted.codes == forced.codes
+        assert encoded(defaulted) == encoded(forced)
         assert defaulted.total_cycles == forced.total_cycles
-
-    def test_explicit_policy_override(self):
-        from repro.interleaving import ExecutionPolicy
-
-        rng = np.random.RandomState(11)
-        rows = rng.randint(0, 400, 2_000)
-        column = make_column(rows)
-        predicates = rng.randint(0, 450, 30).tolist()
-        policy = ExecutionPolicy(True, 4, "forced for test", technique="CORO")
-        overridden = run_in_predicate(
-            ExecutionEngine(HASWELL), column, predicates, policy=policy
+        assert defaulted.profile("in_predicate_encode").attrs["strategy"] == (
+            "sequential"
         )
-        forced = run_in_predicate(
-            ExecutionEngine(HASWELL), column, predicates,
-            strategy="interleaved", group_size=4,
-        )
-        assert overridden.codes == forced.codes
-        assert overridden.total_cycles == forced.total_cycles
 
 
 class TestScan:
@@ -161,33 +157,24 @@ class TestInPredicateQuery:
         rows = rng.randint(0, 500, 3_000)
         column = make_column(rows)
         predicates = rng.randint(0, 600, 40).tolist()
-        result = run_in_predicate(
-            ExecutionEngine(HASWELL), column, predicates, strategy="interleaved"
-        )
+        result = run_query(column, predicates, strategy="interleaved")
         expected = np.flatnonzero(np.isin(rows, list(set(predicates))))
-        assert np.array_equal(np.sort(result.rows), expected)
+        assert matched_rows(result) == expected.tolist()
 
     def test_absent_values_encode_invalid(self):
         column = make_column([1, 2, 3])
-        result = run_in_predicate(ExecutionEngine(HASWELL), column, [2, 99])
-        assert result.codes[1] == INVALID_CODE
-        assert column.decode_row(int(result.rows[0])) == 2
+        result = run_query(column, [2, 99])
+        assert encoded(result)[1] == INVALID_CODE
+        assert column.decode_row(int(result.value[0])) == 2
 
     def test_profiles_partition_total(self):
         column = make_column(list(range(2_000)))
         engine = ExecutionEngine(HASWELL)
-        result = run_in_predicate(engine, column, list(range(0, 2_000, 50)))
-        assert result.locate.cycles > 0
-        assert result.scan.cycles > 0
+        result = run_query(column, list(range(0, 2_000, 50)), engine)
+        assert result.profile("in_predicate_encode").cycles > 0
+        assert result.profile("scan").cycles > 0
+        assert result.profile("aggregate").cycles > 0
         assert result.total_cycles == engine.clock
-        assert 0 < result.locate_fraction < 1
-
-    def test_response_time_conversion(self):
-        column = make_column([1])
-        result = run_in_predicate(ExecutionEngine(HASWELL), column, [1])
-        assert result.response_time_ms() == pytest.approx(
-            result.total_cycles / 2.6e6
-        )
 
     def test_strategy_does_not_change_rows(self):
         rng = np.random.RandomState(4)
@@ -195,25 +182,45 @@ class TestInPredicateQuery:
         column = make_column(rows)
         predicates = rng.randint(0, 350, 25).tolist()
         outcomes = [
-            np.sort(
-                run_in_predicate(
-                    ExecutionEngine(HASWELL), column, predicates, strategy=s
-                ).rows
-            ).tolist()
-            for s in ("sequential", "interleaved", "gp", "amac")
+            matched_rows(run_query(column, predicates, strategy=s))
+            for s in ENCODE_STRATEGIES
         ]
         assert all(o == outcomes[0] for o in outcomes)
 
-    @given(
-        rows=st.lists(st.integers(0, 50), min_size=1, max_size=200),
-        predicates=st.lists(st.integers(0, 60), min_size=1, max_size=20),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_query_equals_brute_force_property(self, rows, predicates):
-        column = make_column(rows)
-        result = run_in_predicate(
-            ExecutionEngine(HASWELL), column, predicates, strategy="interleaved",
-            group_size=3,
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_query_equals_brute_force_property(self, data):
+        rows = data.draw(
+            st.lists(st.integers(0, 50), min_size=1, max_size=200), label="rows"
         )
-        expected = [i for i, v in enumerate(rows) if v in set(predicates)]
-        assert sorted(result.rows.tolist()) == expected
+        predicates = data.draw(
+            st.lists(st.integers(0, 60), min_size=1, max_size=20),
+            label="predicates",
+        )
+        store = data.draw(st.sampled_from(("main", "delta")), label="store")
+        strategy = data.draw(
+            st.sampled_from((None,) + ENCODE_STRATEGIES), label="strategy"
+        )
+        sizes = {
+            name: data.draw(st.none() | st.integers(1, 6), label=name)
+            for name in (
+                "group_size", "scan_batch", "probe_batch",
+                "task_buffer", "match_buffer",
+            )
+        }
+        allocator = AddressSpaceAllocator()
+        if store == "main":
+            column = EncodedColumn.from_values(allocator, "col", rows)
+        else:
+            delta = DeltaStore(allocator, "col")
+            delta.append_many(rows)
+            column = delta.as_column()
+        engine = ExecutionEngine(HASWELL)
+        result = run_query(column, predicates, engine, strategy=strategy, **sizes)
+
+        wanted = set(predicates)
+        assert matched_rows(result) == [
+            i for i, v in enumerate(rows) if v in wanted
+        ]
+        assert encoded(result) == [column.dictionary.locate(v) for v in predicates]
+        assert result.total_cycles == engine.clock

@@ -46,7 +46,7 @@ class TestConjunctiveQuery:
         )
         plain = table.query_in(ExecutionEngine(HASWELL), "zip", zip_list)
         assert np.array_equal(
-            np.sort(conjunctive["main"]), np.sort(plain["main"].rows)
+            np.sort(conjunctive["main"]), np.sort(plain["main"])
         )
 
     def test_spans_delta(self):

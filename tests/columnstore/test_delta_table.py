@@ -124,7 +124,7 @@ class TestColumnTable:
         )
         assert set(results) == {"main", "delta"}
         found = table.matching_row_values("zip", [999, 5])
-        n_found_via_query = results["main"].rows.size + results["delta"].rows.size
+        n_found_via_query = results["main"].size + results["delta"].size
         assert n_found_via_query == len(found)
 
     def test_query_unknown_column(self):
@@ -133,8 +133,8 @@ class TestColumnTable:
             table.query_in(ExecutionEngine(HASWELL), "nope", [1])
 
     def test_gp_strategy_falls_back_on_delta(self):
-        """GP applies to Main only; the Delta part silently runs sequential."""
+        """GP applies to Main only; the Delta part takes the sequential fallback."""
         table = self.make_table()
         table.insert_rows([{"zip": 1, "qty": 1}])
         results = table.query_in(ExecutionEngine(HASWELL), "zip", [1], strategy="gp")
-        assert results["delta"].rows.size == 1
+        assert results["delta"].size == 1

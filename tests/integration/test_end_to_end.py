@@ -14,8 +14,9 @@ from repro import (
     run_interleaved,
     run_sequential,
 )
-from repro.columnstore import EncodedColumn, run_in_predicate
+from repro.columnstore import EncodedColumn
 from repro.indexes import ImplicitCSBTree
+from repro.query import in_predicate_plan
 from repro.sim.memory import MemorySystem
 from repro.workloads.tpcds import make_q8_workload
 
@@ -29,7 +30,7 @@ class TestQ8EndToEnd:
                 ExecutionEngine(HASWELL), "ca_zip", workload.predicates,
                 strategy=strategy,
             )
-            counts.add(sum(r.rows.size for r in results.values()))
+            counts.add(sum(rows.size for rows in results.values()))
         assert counts == {workload.expected_matches}
 
 
@@ -108,7 +109,7 @@ class TestFullColumnLifecycle:
         results = table.query_in(
             ExecutionEngine(HASWELL), "item", predicates, strategy="interleaved"
         )
-        found = sum(r.rows.size for r in results.values())
+        found = sum(rows.size for rows in results.values())
         wanted = set(predicates)
         expected = sum(int(v) in wanted for v in first_batch) + sum(
             int(v) in wanted for v in second_batch
@@ -119,7 +120,7 @@ class TestFullColumnLifecycle:
         results = table.query_in(
             ExecutionEngine(HASWELL), "item", predicates, strategy="gp"
         )
-        assert results["main"].rows.size == expected
+        assert results["main"].size == expected
 
 
 class TestStatisticsConsistency:
@@ -129,7 +130,9 @@ class TestStatisticsConsistency:
             alloc, "c", np.random.RandomState(0).randint(0, 500, 2_000)
         )
         engine = ExecutionEngine(HASWELL)
-        run_in_predicate(engine, column, list(range(0, 600, 7)), strategy="interleaved")
+        in_predicate_plan(
+            column, list(range(0, 600, 7)), strategy="interleaved"
+        ).execute(engine)
         engine.tmam.check_consistency()
 
     def test_lfb_never_overflows_under_gp(self):

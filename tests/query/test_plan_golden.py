@@ -1,14 +1,14 @@
 """Golden-number regression: the plan-backed query pinned across refactors.
 
-``run_in_predicate`` is now a thin shim over the ``repro.query``
-operator plan; these values were captured from the two-phase
-implementation *before* that refactor (n_predicates=200, group_size=6,
-seed 0, in-cache and DRAM-resident dictionary sizes). Every (store,
-strategy) combination's total/locate/scan cycle split must stay
-bit-identical: the plan charges exactly the events the legacy routine
-charged, in the same order, settling inside the same window. If a
-change legitimately alters the cost model, recapture these numbers in
-the same commit and say why.
+``measure_query`` runs the IN-predicate query as a ``repro.query``
+operator plan (:func:`repro.query.in_predicate_plan`). These values were
+captured from the original two-phase encode-then-scan implementation
+(n_predicates=200, group_size=6, seed 0, in-cache and DRAM-resident
+dictionary sizes). Every (store, strategy) combination's
+total/locate/scan cycle split must stay bit-identical: the plan charges
+exactly the events the two-phase routine charged, in the same order,
+settling inside the same window. If a change legitimately alters the
+cost model, recapture these numbers in the same commit and say why.
 """
 
 import pytest

@@ -250,18 +250,28 @@ class TestRunPlan:
         with pytest.raises(QueryError):
             result.operator("nope")
 
-    def test_plan_matches_run_in_predicate_bit_for_bit(self, column):
-        from repro.sim.engine import ExecutionEngine as Engine
+    @pytest.mark.parametrize(
+        "knob", ["group_size", "scan_batch", "probe_batch", "task_buffer", "match_buffer"]
+    )
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_sizes_below_one_rejected_by_name(self, column, knob, value):
+        from repro.errors import QueryError
 
-        values = [5, 4_999, 12_345]
-        legacy = repro.run_in_predicate(
-            Engine(ARCH), column, values, strategy="sequential"
-        )
-        plan = api.run_plan(
-            column, values, strategy="sequential", arch=ARCH
-        )
-        assert plan.total_cycles == legacy.total_cycles
-        assert sorted(plan.rows) == sorted(int(r) for r in legacy.rows)
+        with pytest.raises(QueryError, match=knob):
+            api.run_plan(column, [1], strategy="sequential", **{knob: value})
+
+    def test_fallback_reports_the_strategy_that_ran(self):
+        from repro.columnstore import DeltaStore
+
+        delta = DeltaStore(AddressSpaceAllocator(), "api-plan/delta")
+        delta.append_many([7, 3, 7, 11])
+        for strategy in ("gp", "amac"):
+            result = api.run_plan(delta.as_column(), [7, 11], strategy=strategy)
+            encode = result.operator("in_predicate_encode")
+            assert encode.attrs["batches_via_fallback"] == 1
+            assert encode.executor == "sequential"
+            assert (result.strategy, result.group_size) == ("sequential", 1)
+            assert result.rows == (0, 2, 3)
 
 
 class TestCliPlanVerb:
@@ -289,6 +299,24 @@ class TestCliPlanVerb:
         assert doc["schema"] == check_bench_schema.QUERY_SCHEMA
         assert doc["kind"] == "plan_run"
         assert check_bench_schema.check_query_document(doc) == []
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--rows", "0"),
+            ("--rows", "-5"),
+            ("--group-size", "-3"),
+            ("--scan-batch", "0"),
+            ("--probe-batch", "-1"),
+            ("--task-buffer", "0"),
+            ("--match-buffer", "0"),
+        ],
+    )
+    def test_plan_sizes_below_one_exit_2_naming_the_flag(self, capsys, flag, value):
+        argv = ["plan", "--dict-bytes", "1048576", "--predicates", "20"]
+        for strategy in ("sequential", "interleaved"):
+            assert main(argv + ["--strategy", strategy, flag, value]) == 2
+            assert flag in capsys.readouterr().err
 
     def test_plan_usage_errors_exit_2(self, capsys):
         assert main(["plan", "--strategy", "bogus"]) == 2

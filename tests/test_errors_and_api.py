@@ -48,7 +48,7 @@ class TestPublicApi:
     def test_key_entry_points_callable(self):
         assert callable(repro.run_interleaved)
         assert callable(repro.binary_search_coro)
-        assert callable(repro.run_in_predicate)
+        assert callable(repro.in_predicate_plan)
 
     def test_subpackage_alls_resolve(self):
         import repro.analysis as analysis

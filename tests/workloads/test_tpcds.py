@@ -30,7 +30,7 @@ class TestQ8Workload:
             ExecutionEngine(HASWELL), "ca_zip", workload.predicates,
             strategy="interleaved",
         )
-        n_found = sum(r.rows.size for r in results.values())
+        n_found = sum(rows.size for rows in results.values())
         assert n_found == workload.expected_matches
 
     def test_zero_overlap_matches_nothing(self):
