@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 from repro.errors import ConfigurationError
 
 __all__ = [
     "HashRing",
     "ClusterRouter",
+    "first_live",
 ]
 
 
@@ -34,6 +35,19 @@ def _point(token: str) -> int:
     """Map a token onto the 64-bit ring (process-independent)."""
     digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
+
+
+def first_live(prefs: Sequence[int], alive: Container[int] | None) -> int:
+    """A key's primary node: the first live entry of its preference list.
+
+    ``alive`` of ``None`` (or with no member in ``prefs``) means no
+    liveness constraint, and the first entry is the primary.
+    """
+    if alive is not None:
+        for node in prefs:
+            if node in alive:
+                return node
+    return prefs[0]
 
 
 class HashRing:
@@ -118,9 +132,9 @@ class ClusterRouter:
         """The key's replica set, live nodes first."""
         return self.ring.replicas(key, self.replication, alive=alive)
 
-    def primary(self, key: int, *, alive: Iterable[int] | None = None) -> int:
+    def primary(self, key: int, *, alive: Container[int] | None = None) -> int:
         """The node a probe for ``key`` is sent to first."""
-        return self.replicas(key, alive=alive)[0]
+        return first_live(self.ring.preference(key), alive)
 
     def split(
         self, keys: Sequence[int], *, alive: Iterable[int] | None = None

@@ -8,6 +8,9 @@ FaultSchedule` into the two things a driver needs:
   left", "does a crash land inside this execution window". These are
   pure interval arithmetic over the (sorted, immutable) schedule, so
   asking twice — or replaying the whole run — gives the same answers.
+  Construction indexes each shard's windows once (merged outages, a
+  piecewise-constant memory environment, crash start cycles), so every
+  query is one bisect however dense the schedule.
 * **a point-fault cursor** — cache flushes mutate simulator state and
   must be applied exactly once, in time order. The event loop races
   :meth:`next_pending_at` against its other timers and calls
@@ -21,6 +24,8 @@ inject_faults``.
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -43,6 +48,82 @@ class FaultEnv:
 
     def __bool__(self) -> bool:
         return bool(self.extra_latency) or self.lfb_capacity is not None
+
+
+#: The environment outside every spike and shrink window.
+_CLEAN = FaultEnv()
+
+
+class _ShardIndex:
+    """One shard's windows, indexed for single-bisect queries.
+
+    * ``down_starts``/``down_ends`` — stall and crash windows merged into
+      disjoint outages (touching windows merge too, because leaving one
+      outage straight into the next is still being down);
+    * ``env_starts``/``envs`` — the spike sum and minimum shrink
+      capacity as a step function: ``envs[i]`` holds on
+      ``[env_starts[i], env_starts[i + 1])``;
+    * ``crash_ats``/``crashes`` — crash windows in schedule order.
+    """
+
+    __slots__ = (
+        "down_starts", "down_ends", "env_starts", "envs", "crash_ats", "crashes"
+    )
+
+    def __init__(self, windows) -> None:
+        self.down_starts: list[int] = []
+        self.down_ends: list[int] = []
+        for event in windows:  # start-sorted, so one merge pass suffices
+            if event.kind not in _DOWN_KINDS:
+                continue
+            if self.down_ends and event.at <= self.down_ends[-1]:
+                self.down_ends[-1] = max(self.down_ends[-1], event.until)
+            else:
+                self.down_starts.append(event.at)
+                self.down_ends.append(event.until)
+        self.crashes = [e for e in windows if e.kind == "shard_crash"]
+        self.crash_ats = [e.at for e in self.crashes]
+        self.env_starts, self.envs = _environment_steps(windows)
+
+
+def _environment_steps(windows) -> tuple[list[int], list[FaultEnv]]:
+    """Sweep spike and shrink edges into a step function of FaultEnvs.
+
+    One sort of the edges plus a lazily-pruned min-heap of active
+    capacities: O(W log W) for W windows.
+    """
+    edges: dict[int, list[tuple[str, int, int]]] = {}
+    for event in windows:
+        if event.kind == "latency_spike":
+            value = event.extra_latency
+        elif event.kind == "lfb_shrink":
+            value = event.capacity
+        else:
+            continue
+        edges.setdefault(event.at, []).append((event.kind, value, 1))
+        edges.setdefault(event.until, []).append((event.kind, value, -1))
+    starts: list[int] = []
+    envs: list[FaultEnv] = []
+    extra = 0
+    active: dict[int, int] = {}
+    heap: list[int] = []
+    previous = _CLEAN
+    for cycle in sorted(edges):
+        for kind, value, sign in edges[cycle]:
+            if kind == "latency_spike":
+                extra += sign * value
+            else:
+                active[value] = active.get(value, 0) + sign
+                if sign > 0 and active[value] == 1:
+                    heapq.heappush(heap, value)
+        while heap and not active[heap[0]]:
+            heapq.heappop(heap)
+        env = FaultEnv(extra, heap[0] if heap else None)
+        if env != previous:
+            starts.append(cycle)
+            envs.append(env)
+            previous = env
+    return starts, envs
 
 
 class FaultInjector:
@@ -71,6 +152,7 @@ class FaultInjector:
         self._windows = [
             schedule.windows_for(shard) for shard in range(self.n_shards)
         ]
+        self._index = [_ShardIndex(windows) for windows in self._windows]
         self._points = [e for e in schedule.events if not e.is_window]
         self._cursor = 0
         #: Point faults applied so far (flush bookkeeping for reports).
@@ -83,38 +165,30 @@ class FaultInjector:
     def available_from(self, shard: int, at: int) -> int:
         """Earliest cycle >= ``at`` at which ``shard`` may start a batch.
 
-        Walks stall/crash windows in time order; chained or overlapping
-        outages compose (the single pass works because windows are
-        sorted by start cycle).
+        Chained or overlapping outages compose: ``at`` inside a merged
+        outage moves to its end.
         """
-        t = at
-        for event in self._windows[shard]:
-            if event.kind in _DOWN_KINDS and event.at <= t < event.until:
-                t = event.until
-        return t
+        index = self._index[shard]
+        i = bisect_right(index.down_starts, at) - 1
+        if i >= 0 and at < index.down_ends[i]:
+            return index.down_ends[i]
+        return at
 
     def all_shards_down_at(self, at: int) -> bool:
         """Whether no shard can start work at cycle ``at`` (fallback cue)."""
-        return all(
-            self.available_from(shard, at) > at for shard in range(self.n_shards)
-        )
+        for index in self._index:
+            i = bisect_right(index.down_starts, at) - 1
+            if i < 0 or at >= index.down_ends[i]:
+                return False
+        return True
 
     def extra_latency_at(self, shard: int, at: int) -> int:
         """Added DRAM cycles from spike windows active at ``at``."""
-        return sum(
-            e.extra_latency
-            for e in self._windows[shard]
-            if e.kind == "latency_spike" and e.active_at(at)
-        )
+        return self._environment(shard, at).extra_latency
 
     def lfb_capacity_at(self, shard: int, at: int) -> int | None:
         """Shrunken LFB pool size at ``at`` (``None`` = architectural)."""
-        capacities = [
-            e.capacity
-            for e in self._windows[shard]
-            if e.kind == "lfb_shrink" and e.active_at(at)
-        ]
-        return min(capacities) if capacities else None
+        return self._environment(shard, at).lfb_capacity
 
     def environment(self, shard: int, at: int) -> FaultEnv:
         """Degraded-memory snapshot for a batch dispatched at ``at``.
@@ -124,10 +198,12 @@ class FaultInjector:
         execution a pure function of (state at start), which is what
         makes replays bit-identical.
         """
-        return FaultEnv(
-            extra_latency=self.extra_latency_at(shard, at),
-            lfb_capacity=self.lfb_capacity_at(shard, at),
-        )
+        return self._environment(shard, at)
+
+    def _environment(self, shard: int, at: int) -> FaultEnv:
+        index = self._index[shard]
+        i = bisect_right(index.env_starts, at) - 1
+        return index.envs[i] if i >= 0 else _CLEAN
 
     def window_kinds_between(self, shard: int, start: int, end: int) -> tuple:
         """Kinds of fault windows overlapping ``[start, end)`` on a shard.
@@ -147,11 +223,13 @@ class FaultInjector:
 
         A crash at the start cycle hasn't happened yet when the batch
         launches (the availability check already consumed it); one at or
-        past ``end`` misses the batch entirely.
+        past ``end`` misses the batch entirely. Of several crashes at one
+        cycle, the first in schedule order is the one returned.
         """
-        for event in self._windows[shard]:
-            if event.kind == "shard_crash" and start < event.at < end:
-                return event
+        index = self._index[shard]
+        i = bisect_right(index.crash_ats, start)
+        if i < len(index.crash_ats) and index.crash_ats[i] < end:
+            return index.crashes[i]
         return None
 
     # ------------------------------------------------------------------
@@ -193,14 +271,16 @@ class FaultInjector:
     # ------------------------------------------------------------------
 
     @contextmanager
-    def applied(self, shard: int, at: int):
+    def applied(self, shard: int, at: int, env: FaultEnv | None = None):
         """Run a batch under the shard's degraded environment at ``at``.
 
         Mutates the shard's memory system for the duration of the body
         and restores it exactly afterwards — the single place fault
-        windows touch simulator state.
+        windows touch simulator state. ``env`` passes in the
+        environment the caller already sampled for ``(shard, at)``.
         """
-        env = self.environment(shard, at)
+        if env is None:
+            env = self.environment(shard, at)
         if not env:
             yield env
             return

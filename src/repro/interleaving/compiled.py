@@ -442,21 +442,31 @@ def _schedule_rows(
 # ----------------------------------------------------------------------
 
 
+#: Probe addresses (keys x depth) below which the probe recurrence and
+#: the replay's line/page split run as scalar Python instead of numpy:
+#: on a handful of keys numpy's per-step dispatch costs more than the
+#: arithmetic. Serving batches (a few keys at depth ~19) sit below it,
+#: bulk joins (hundreds of keys at depth ~28) far above.
+SCALAR_ADDRESS_LIMIT = 512
+
+
 def _probe_addresses(table, values, depth: int) -> tuple[list, list]:
     """Flat probe-address list (key-major) and per-key search results.
 
     Mirrors the shared recurrence every search variant runs: ``half``
     follows the table size alone, ``low`` advances per key when
     ``value_at(probe) <= value``. Identity arrays (the paper's
-    microbenchmark fill) vectorize through numpy; any other table walks
-    the same recurrence in Python via ``value_at``.
+    microbenchmark fill) compare the probe itself, vectorized through
+    numpy from :data:`SCALAR_ADDRESS_LIMIT` addresses up; any other
+    table walks the same recurrence in Python via ``value_at``.
     """
     base = table.region.base
     element_size = table.element_size
     n = len(values)
-    if getattr(table, "is_identity", False) and all(
+    identity = getattr(table, "is_identity", False) and all(
         isinstance(value, (int, np.integer)) for value in values
-    ):
+    )
+    if identity and n * depth >= SCALAR_ADDRESS_LIMIT:
         lookups = np.asarray(values, dtype=np.int64)
         low = np.zeros(n, dtype=np.int64)
         probes = np.empty((depth, n), dtype=np.int64)
@@ -469,7 +479,6 @@ def _probe_addresses(table, values, depth: int) -> tuple[list, list]:
             size -= half
         addresses = (probes.T * element_size + base).ravel().tolist()
         return addresses, low.tolist()
-    value_at = table.value_at
     halves = []
     size = table.size
     while size // 2 > 0:
@@ -479,6 +488,18 @@ def _probe_addresses(table, values, depth: int) -> tuple[list, list]:
     addresses = []
     results = []
     append = addresses.append
+    if identity:
+        for value in values:
+            value = int(value)
+            low = 0
+            for half in halves:
+                probe = low + half
+                append(base + probe * element_size)
+                if probe <= value:
+                    low = probe
+            results.append(low)
+        return addresses, results
+    value_at = table.value_at
     for value in values:
         low = 0
         for half in halves:
@@ -937,11 +958,18 @@ def _replay(
     """Replay a staged schedule through the geometry's specialized loop."""
     memory = engine.memory
     line_size = memory.line_size
-    addresses_np = np.asarray(addresses, dtype=np.int64)
-    lines_np = addresses_np // line_size
     tlb = memory.tlb
-    vpns_np = addresses_np // tlb._page_size
-    pte_lines = ((PAGE_TABLE_BASE + vpns_np * PTE_SIZE) // line_size).tolist()
+    page_size = tlb._page_size
+    if len(addresses) < SCALAR_ADDRESS_LIMIT:
+        lines = [address // line_size for address in addresses]
+        vpns = [address // page_size for address in addresses]
+        pte_lines = [(PAGE_TABLE_BASE + vpn * PTE_SIZE) // line_size for vpn in vpns]
+    else:
+        addresses_np = np.asarray(addresses, dtype=np.int64)
+        lines = (addresses_np // line_size).tolist()
+        vpns_np = addresses_np // page_size
+        vpns = vpns_np.tolist()
+        pte_lines = ((PAGE_TABLE_BASE + vpns_np * PTE_SIZE) // line_size).tolist()
     lfbs = memory.lfbs
     # Seed the completion heap from fills already in flight; dict
     # insertion order is fill-start order, which the sequence numbers
@@ -962,7 +990,7 @@ def _replay(
      fills_issued, acquire_stall,
      loads_l1, loads_lfb, loads_l2, loads_l3, loads_dram,
      prefetch_count, prefetch_useless) = _specialized_impl(engine)(
-        rows, lines_np.tolist(), vpns_np.tolist(), pte_lines,
+        rows, lines, vpns, pte_lines,
         in_flight, heap, len(heap),
         memory.l1._sets, memory.l2._sets, memory.l3._sets,
         tlb._dtlb._sets, tlb._stlb._sets,

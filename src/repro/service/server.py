@@ -64,7 +64,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cluster.routing import ClusterRouter, HashRing
+from repro.cluster.routing import ClusterRouter, HashRing, first_live
 from repro.cluster.topology import INTERCONNECT_TIERS, ClusterTopology
 from repro.config import HASWELL, ArchSpec
 from repro.control import AdaptiveController, ControllerConfig
@@ -76,7 +76,7 @@ from repro.faults.events import (
     NodeSlow,
     ShardCrash,
 )
-from repro.faults.injector import FaultInjector
+from repro.faults.injector import FaultEnv, FaultInjector
 from repro.faults.schedule import FaultSchedule
 from repro.interleaving.executor import BulkLookup, get_executor
 from repro.interleaving.policies import degraded_group_size
@@ -563,6 +563,14 @@ class ServiceServer:
         self._retry_heap: list[tuple[int, int, Request]] = []
         self._retry_seq = 0
 
+        # The kept dispatch plan (see _current_plan) and two memos of
+        # pure functions it reads: node liveness at the last trigger
+        # cycle, and each queued request's ring preference list.
+        self._plan = None
+        self._plan_stale = True
+        self._alive_memo: tuple[int, frozenset | None] | None = None
+        self._prefs: dict[int, tuple[int, ...]] = {}
+
         self._warm_up()
 
     # ------------------------------------------------------------------
@@ -740,20 +748,19 @@ class ServiceServer:
         def at_or_before(cycle, *others):
             return all(other is None or cycle <= other for other in others)
 
+        # The point-fault cursor and the control window move only when
+        # their own branch below fires, so they are read there, not on
+        # every iteration.
+        next_fault = (
+            self._injector.next_pending_at() if self._injector is not None else None
+        )
+        next_control = (
+            self._controller.next_boundary() if self._controller is not None else None
+        )
         while True:
             next_arrival = arrivals.peek()
             next_retry = self._retry_heap[0][0] if self._retry_heap else None
-            next_fault = (
-                self._injector.next_pending_at()
-                if self._injector is not None
-                else None
-            )
-            next_control = (
-                self._controller.next_boundary()
-                if self._controller is not None
-                else None
-            )
-            plan = self._plan_dispatch()
+            plan = self._current_plan()
             dispatch_at = plan[0] if plan is not None else None
             if (
                 next_arrival is None
@@ -775,11 +782,16 @@ class ServiceServer:
                 if self._controller is not None:
                     self._controller.on_arrival(now)
                 verdict = self.admission.offer(request)
-                if verdict == "shed":
+                if verdict == "admit":
+                    # Only an arrival inside the first max_batch slots
+                    # changes the prefix the plan reads.
+                    if len(self.admission.queue) <= self.config.max_batch:
+                        self._plan_stale = True
+                elif verdict == "shed":
                     completion = self._run_shed(request, now)
                     arrivals.notify_completion(completion)
                     makespan = max(makespan, completion)
-                elif verdict != "admit":
+                else:
                     # Refused requests leave the system immediately; a
                     # closed-loop client retries after thinking.
                     arrivals.notify_completion(now)
@@ -798,6 +810,7 @@ class ServiceServer:
                     self._count(f"faults.{event.kind}")
                     if self.tracer.enabled:
                         self.tracer.on_fault_point(event)
+                next_fault = self._injector.next_pending_at()
                 continue
             if next_control is not None and at_or_before(
                 next_control, dispatch_at
@@ -806,6 +819,8 @@ class ServiceServer:
                 # a changed deadline/technique governs the next batch.
                 now = max(now, next_control)
                 self._controller.roll_to(now, self)
+                next_control = self._controller.next_boundary()
+                self._plan_stale = True
                 continue
             now = max(now, dispatch_at)
             completion = self._run_batch(now, plan, arrivals)
@@ -831,6 +846,23 @@ class ServiceServer:
         self._controller.finish(makespan, self)
         return self._controller.summary()
 
+    def _current_plan(self):
+        """The event loop's dispatch plan: kept until an input changes.
+
+        :meth:`_plan_dispatch` is a pure function of the first
+        ``max_batch`` queued requests, every lane's ``busy_until``, the
+        controller's ``_active_shards``/``_overflow_armed`` and the
+        static fault index. The loop marks the plan stale when one of
+        those moves — an admit into the prefix, a take, a retry
+        requeue, a launch, shed or fallback, a control window roll —
+        and keeps it across everything else (refusals, arrivals behind
+        a full prefix, cache flushes).
+        """
+        if self._plan_stale:
+            self._plan = self._plan_dispatch()
+            self._plan_stale = False
+        return self._plan
+
     def _plan_dispatch(self):
         """Plan the next feasible batch launch.
 
@@ -851,7 +883,7 @@ class ServiceServer:
             alive = self._alive_nodes(trigger)
             grouped: dict[int, list[Request]] = {}
             for request in self._peek_batch():
-                node = self.router.primary(int(request.value), alive=alive)
+                node = first_live(self._preference(request), alive)
                 grouped.setdefault(node, []).append(request)
             groups = [
                 self._plan_group(self._node_shards[node], grouped[node], trigger)
@@ -881,13 +913,24 @@ class ServiceServer:
                 return _GroupPlan(None, overflow_start, True, members)
         return _GroupPlan(shard_index, start, fault_delayed, members)
 
+    def _preference(self, request: Request) -> tuple[int, ...]:
+        """The request's ring preference list, read once while it is
+        queued (dropped again when ``take`` pops it)."""
+        prefs = self._prefs.get(request.index)
+        if prefs is None:
+            prefs = self.router.ring.preference(int(request.value))
+            self._prefs[request.index] = prefs
+        return prefs
+
     def _alive_nodes(self, at: int) -> frozenset | None:
         """Nodes able to start work at ``at`` (``None`` = no routing
         constraint: either chaos is off or literally everything is down,
         and a fully-dead fleet routes as if healthy — dispatch then
-        waits out the outage)."""
+        waits out the outage). Computed once per trigger cycle."""
         if self._injector is None:
             return None
+        if self._alive_memo is not None and self._alive_memo[0] == at:
+            return self._alive_memo[1]
         alive = frozenset(
             node
             for node in range(self.config.n_nodes)
@@ -896,13 +939,14 @@ class ServiceServer:
                 for idx in self._node_shards[node]
             )
         )
+        self._alive_memo = (at, alive or None)
         return alive or None
 
     def _peek_batch(self) -> list[Request]:
         """The exact prefix ``coalescer.take`` will pop this iteration.
 
-        Safe to pre-read: the event loop never admits or requeues
-        between planning a dispatch and running it."""
+        Safe to pre-read: the loop re-plans whenever this prefix
+        changes (see :meth:`_current_plan`)."""
         queue = self.admission.queue
         return [queue[i] for i in range(min(self.config.max_batch, len(queue)))]
 
@@ -910,6 +954,9 @@ class ServiceServer:
         """Launch the planned batch; returns its resolution cycle."""
         _, trigger, groups = plan
         batch = self.coalescer.take(trigger)
+        self._plan_stale = True
+        for request in batch:
+            self._prefs.pop(request.index, None)
         if any(group.fault_delayed for group in groups):
             self._count("outage_delays")
         batch = self._expire_timeouts(batch, now, arrivals)
@@ -1141,16 +1188,19 @@ class ServiceServer:
         down until the crash's restart cycle.
         """
         shard = self.shards[shard_index]
-        group = self._effective_group_size(shard_index, start)
         if self._injector is not None:
+            # Sampled once: the group-size decision and the execution
+            # see the same environment.
             env = self._injector.environment(shard_index, start)
+            group = self._effective_group_size(env)
             if env.extra_latency:
                 self._count("faults.latency_spike")
             if env.lfb_capacity is not None:
                 self._count("faults.lfb_shrink")
-            with self._injector.applied(shard_index, start):
+            with self._injector.applied(shard_index, start, env):
                 _, cycles = self._execute(shard, values, self.executor, group)
         else:
+            group = self.group_size
             _, cycles = self._execute(shard, values, self.executor, group)
         completion = start + cycles
         crash = (
@@ -1182,12 +1232,12 @@ class ServiceServer:
                 best_key = key
         return best_key[2]
 
-    def _effective_group_size(self, shard_index: int, start: int) -> int:
-        """Group size for one leg, degraded per Inequality 1 if adaptive."""
+    def _effective_group_size(self, env: FaultEnv) -> int:
+        """Group size for one leg under its fault environment, degraded
+        per Inequality 1 if adaptive."""
         group = self.group_size
-        if self.config.degradation != "adaptive" or self._injector is None:
+        if self.config.degradation != "adaptive":
             return group
-        env = self._injector.environment(shard_index, start)
         kind = getattr(self.executor, "switch_kind", None)
         if not env or kind not in ("gp", "amac", "coro"):
             return group
@@ -1248,6 +1298,7 @@ class ServiceServer:
             self.admission.requeue(request)
             if self.tracer.enabled:
                 self.tracer.on_requeue(request, now)
+        self._plan_stale = True
 
     def _run_fallback(
         self, batch: list[Request], now: int, arrivals: ArrivalProcess
@@ -1289,6 +1340,7 @@ class ServiceServer:
 
     def _run_shed(self, request: Request, now: int) -> int:
         """Serve one shed request ungrouped on the overflow engine."""
+        self._plan_stale = True  # the overflow lane's busy_until moves
         lane = self._overflow
         start = max(now, lane.busy_until)
         _, cycles = self._execute(lane, [request.value], get_executor("sequential"), 1)

@@ -86,6 +86,16 @@ class TestClusterRouter:
             for position in group:
                 assert router.primary(keys[position]) == node
 
+    def test_primary_is_the_first_replica_under_any_live_set(self):
+        router = ClusterRouter(HashRing(5), replication=2)
+        rng = random.Random(3)
+        for key in KEYS[:100]:
+            alive = rng.sample(range(5), rng.randint(0, 5))
+            for live in (alive, frozenset(alive), None):
+                assert router.primary(key, alive=live) == router.replicas(
+                    key, alive=live
+                )[0]
+
     def test_split_respects_liveness(self):
         router = ClusterRouter(HashRing(4), replication=2)
         keys = KEYS[:50]

@@ -1,10 +1,12 @@
 """Tests for the fault injector's window queries and point cursor."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.faults import (
     CacheFlush,
+    FaultEnv,
     FaultInjector,
     FaultSchedule,
     LatencySpike,
@@ -169,3 +171,113 @@ class TestPointCursor:
 def test_injector_needs_shards():
     with pytest.raises(ConfigurationError, match="shard"):
         FaultInjector(FaultSchedule(events=()), [])
+
+
+# ----------------------------------------------------------------------
+# The interval index against the linear scans it replaced
+# ----------------------------------------------------------------------
+
+#: One fixed CI profile: the same examples on every run.
+CI = settings(max_examples=200, deadline=None, derandomize=True)
+
+_DOWN = ("shard_stall", "shard_crash")
+
+
+def scan_available_from(windows, at):
+    t = at
+    for event in windows:
+        if event.kind in _DOWN and event.at <= t < event.until:
+            t = event.until
+    return t
+
+
+def scan_extra_latency(windows, at):
+    return sum(
+        e.extra_latency
+        for e in windows
+        if e.kind == "latency_spike" and e.active_at(at)
+    )
+
+
+def scan_lfb_capacity(windows, at):
+    capacities = [
+        e.capacity for e in windows if e.kind == "lfb_shrink" and e.active_at(at)
+    ]
+    return min(capacities) if capacities else None
+
+
+def scan_crash_between(windows, start, end):
+    for event in windows:
+        if event.kind == "shard_crash" and start < event.at < end:
+            return event
+    return None
+
+
+def _window(kind, at, duration, shard, value):
+    if kind == "shard_stall":
+        return ShardStall(at=at, shard=shard, duration=duration)
+    if kind == "shard_crash":
+        return ShardCrash(at=at, shard=shard, duration=duration)
+    if kind == "latency_spike":
+        return LatencySpike(at=at, shard=shard, duration=duration, extra_latency=value)
+    return LfbShrink(at=at, shard=shard, duration=duration, capacity=value)
+
+
+@st.composite
+def schedules(draw):
+    """Windows placed free, touching, nested in, chained onto or
+    starting with an earlier one, on one shard, the other, or both."""
+    events = []
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(
+            st.sampled_from(("shard_stall", "shard_crash", "latency_spike", "lfb_shrink"))
+        )
+        shard = draw(st.sampled_from((None, 0, 1)))
+        value = draw(st.integers(1, 6))
+        duration = draw(st.integers(1, 40))
+        anchor = draw(st.sampled_from(events)) if events else None
+        how = draw(st.sampled_from(("free", "touch", "nest", "chain", "same")))
+        if anchor is None or how == "free":
+            at = draw(st.integers(0, 120))
+        elif how == "touch":
+            at = anchor.until
+        elif how == "nest":
+            at = draw(st.integers(anchor.at, anchor.until - 1))
+            duration = draw(st.integers(1, anchor.until - at))
+        elif how == "chain":
+            at = draw(st.integers(anchor.at, anchor.until))
+        else:
+            at = anchor.at
+        events.append(_window(kind, at, duration, shard, value))
+    return FaultSchedule(events=tuple(events))
+
+
+@CI
+@given(schedule=schedules())
+def test_indexed_queries_match_the_linear_scans(schedule):
+    memories = [_FakeMemory() for _ in range(2)]
+    injector = FaultInjector(schedule, memories)
+    windows = [schedule.windows_for(shard) for shard in range(2)]
+    edges = {0}
+    for event in schedule.events:
+        edges.update((event.at, event.until))
+    cycles = sorted({max(0, c + d) for c in edges for d in (-1, 0, 1)})
+    for at in cycles:
+        down = []
+        for shard in range(2):
+            scan = windows[shard]
+            available = scan_available_from(scan, at)
+            assert injector.available_from(shard, at) == available
+            down.append(available > at)
+            extra = scan_extra_latency(scan, at)
+            capacity = scan_lfb_capacity(scan, at)
+            assert injector.extra_latency_at(shard, at) == extra
+            assert injector.lfb_capacity_at(shard, at) == capacity
+            assert injector.environment(shard, at) == FaultEnv(extra, capacity)
+        assert injector.all_shards_down_at(at) == all(down)
+    for start in cycles:
+        for end in cycles:
+            for shard in range(2):
+                assert injector.crash_between(shard, start, end) is (
+                    scan_crash_between(windows[shard], start, end)
+                )

@@ -22,7 +22,10 @@ Oracles:
 * every shard engine's TMAM slots cover exactly its cycles after the
   sweep (``tmam.check_consistency()``);
 * a traced run emits the same document as the untraced one, and every
-  request's span tree passes :func:`repro.obs.rtrace.trace_errors`.
+  request's span tree passes :func:`repro.obs.rtrace.trace_errors`;
+* on every event-loop iteration the dispatch plan the server kept
+  equals a freshly computed ``_plan_dispatch()`` (the loop re-plans
+  only on a state change, so a missed change shows up here).
 
 Shrunk counterexamples found while writing the oracles stay below as
 ``@example`` rows.
@@ -150,6 +153,28 @@ def captured_runs():
         ServiceServer.serve = serve
 
 
+@contextlib.contextmanager
+def checked_plans():
+    """Check every plan read of the event loop against a fresh plan,
+    failing at the first mismatch (a kept plan that outlived its batch
+    would otherwise re-dispatch forever); yields the list of reads."""
+    current = ServiceServer._current_plan
+    checks = []
+
+    def checking(server):
+        kept = current(server)
+        fresh = server._plan_dispatch()
+        assert kept == fresh, (kept, fresh)
+        checks.append(kept)
+        return kept
+
+    ServiceServer._current_plan = checking
+    try:
+        yield checks
+    finally:
+        ServiceServer._current_plan = current
+
+
 @CI
 @given(spec=specs(), seed=st.integers(0, 3))
 # Deadline expiry with no faults: the plain document has no timeout
@@ -177,14 +202,40 @@ def captured_runs():
     ),
     seed=0,
 )
+# A shed request moves the overflow lane's busy_until while an outage
+# plans the batch onto that lane: the kept plan must be re-made.
+@example(
+    spec=Scenario.from_dict(
+        {
+            "schema": "repro.scenario/1",
+            "name": "prop",
+            "loads": [1.5],
+            "techniques": ["CORO"],
+            "table_bytes": 65536,
+            "n_requests": 120,
+            "fault_profile": "shard-outage",
+            "config": {
+                "max_batch": 2,
+                "max_wait_cycles": 500,
+                "queue_capacity": 4,
+                "overload_policy": "shed",
+                "n_shards": 1,
+                "overflow_fallback": True,
+                "warmup_requests": 0,
+            },
+        }
+    ),
+    seed=0,
+)
 def test_random_scenarios_keep_the_serving_invariants(spec, seed):
     record = spec.to_dict()
     again = Scenario.from_dict(record)
     assert again == spec
     assert again.to_dict() == record
 
-    with captured_runs() as runs:
+    with captured_runs() as runs, checked_plans() as plans:
         doc = api.serve(record, seed=seed, jobs=1, cache=None).doc
+    assert plans
 
     n = spec.n_requests
     assert doc["kind"] == spec.kind
