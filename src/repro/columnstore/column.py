@@ -208,10 +208,7 @@ class EncodedColumn:
             return None
         dictionary = self.dictionary
         if executor_name in ("sequential", "coro"):
-            job = BulkLookup.stream(
-                lambda v, il: dictionary.locate_stream(v, il, costs), values
-            )
-            return job, lambda raw: raw
+            return BulkLookup.locate(dictionary, values, costs), lambda raw: raw
         job = BulkLookup.sorted_array(dictionary.array, values, costs)
 
         def membership(lows: Sequence[int]) -> list[int]:

@@ -350,6 +350,12 @@ class DeltaDictionary:
         )
 
 
+#: Fixed computes of a Delta ``locate``: routing through a key-less inner
+#: node, and the final comparison of a node search.
+_EMPTY_ROUTE = Compute(1, 1)
+_FINAL_COMPARE = Compute(2, 2)
+
+
 def delta_locate_stream(
     tree: TreeInterface,
     dict_view: _DictArrayView,
@@ -364,12 +370,14 @@ def delta_locate_stream(
     entry it points at — a random access that gets its own prefetch and
     suspension point in interleaved mode (Section 5.5).
     """
+    # Events are immutable, so each fixed compute is built once.
+    iteration = Compute(costs.iter_cycles, costs.iter_instructions)
     node = tree.root_handle()
     while not tree.is_leaf(node):
         keys = tree.keys_table(node)
         if keys.size == 0:
             child = 0
-            yield Compute(1, 1)
+            yield _EMPTY_ROUTE
         else:
             low = 0
             size = keys.size
@@ -377,42 +385,43 @@ def delta_locate_stream(
                 half = size // 2
                 probe = low + half
                 yield Load(keys.address_of(probe), keys.element_size)
-                yield Compute(costs.iter_cycles, costs.iter_instructions)
+                yield iteration
                 if keys.value_at(probe) <= value:
                     low = probe
                 size -= half
-            yield Compute(2, 2)
+            yield _FINAL_COMPARE
             child = low + 1 if keys.value_at(low) <= value else 0
         node = tree.child_of(node, child)
         if interleave:
             yield Prefetch(tree.node_address(node), tree.node_size)
             yield SUSPEND
     # Leaf: binary search whose comparisons go through the dictionary.
+    # Each probe loads the stored code, then the entry it points at; the
+    # last comparison re-checks the final ``low``.
     keys = tree.keys_table(node)
     if keys.size == 0:
         return INVALID_CODE
-
-    def compare_at(position):
-        yield Load(tree.leaf_value_address(node, position), dict_view.element_size)
-        code = tree.leaf_value(node, position)
-        if interleave:
-            yield Prefetch(dict_view.address_of(code), dict_view.element_size)
-            yield SUSPEND
-        yield Load(dict_view.address_of(code), dict_view.element_size)
-        yield Compute(costs.iter_cycles, costs.iter_instructions)
-        return code, dict_view.value_at(code)
-
+    element_size = dict_view.element_size
     low = 0
     size = keys.size
-    while size // 2 > 0:
+    while True:
         half = size // 2
         probe = low + half
-        _, probed_value = yield from compare_at(probe)
+        yield Load(tree.leaf_value_address(node, probe), element_size)
+        code = tree.leaf_value(node, probe)
+        address = dict_view.address_of(code)
+        if interleave:
+            yield Prefetch(address, element_size)
+            yield SUSPEND
+        yield Load(address, element_size)
+        yield iteration
+        probed_value = dict_view.value_at(code)
+        if not half:
+            break
         if probed_value <= value:
             low = probe
         size -= half
-    code, low_value = yield from compare_at(low)
-    yield Compute(2, 2)
-    if low_value == value:
+    yield _FINAL_COMPARE
+    if probed_value == value:
         return code
     return INVALID_CODE

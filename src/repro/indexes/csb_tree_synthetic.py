@@ -174,11 +174,13 @@ class ImplicitCSBTree:
         return self._code_fn(entry)
 
     def leaf_value_address(self, handle: tuple[int, int], position: int) -> int:
-        keys = self.keys_table(handle)
+        # Values follow the leaf's keys: count them as keys_table does.
+        first = handle[1] * self.leaf_entries
+        n_keys = min(self.leaf_entries, self.n_entries - first)
         return (
             self.node_address(handle)
             + NODE_HEADER_BYTES
-            + keys.size * self.key_size
+            + n_keys * self.key_size
             + position * self.value_size
         )
 

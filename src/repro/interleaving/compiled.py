@@ -1,29 +1,40 @@
 """Staged replay: the engine path behind every schedulable executor.
 
-For a fixed (technique, group size, index shape) the suspend/resume
+For a fixed (technique, group size, per-key program) the suspend/resume
 sequence of every scheduler in this package is *deterministic*: which
 stream runs next, and whether its visit issues a prefetch, a load, or a
-switch, depends only on the number of inputs, the search depth, and the
-group size — never on the looked-up values. Cimple exploits exactly this
-to stage interleave schedules statically, and CoroBase flattens coroutine
-frames into compiler-visible state machines for the same reason. This
-module does the Python-simulator equivalent:
+switch, depends only on how many segments (the events between two
+suspensions) each key's program has and on the group size — never on
+the memory system's state. Cimple exploits exactly this to stage
+interleave schedules statically, separating the per-request program
+from its scheduler, and CoroBase flattens coroutine frames into
+compiler-visible state machines for the same reason. This module does
+the Python-simulator equivalent:
 
-1. **Record** — the schedule builder stages the scheduler's event stream
-   once per (technique, group_size, depth, n) into a flattened *event
-   schedule*: a table of ``(event_kind, address_index, cycle_cost)`` rows
-   with consecutive straight-line computes pre-merged. The staging is
-   verified against a real recorded trace: the first time a (technique,
-   group size) pair compiles, the generator scheduler runs on a small
-   calibration table under a recording engine, and the schedule must
+1. **Record** — each key's program is a list of segments; a stager per
+   technique interleaves the segments the way the technique's scheduler
+   does (round-robin with frame recycling for CORO, round-robin with
+   in-visit refill for AMAC, lock-step blocks for GP, back to back for
+   the sequential ones) into a flattened *event schedule*: a table of
+   ``(event_kind, address_index, cycle_cost)`` rows with consecutive
+   straight-line computes pre-merged. The staging is verified against a
+   real recorded trace: the first time a (workload shape, technique,
+   group size) triple compiles, the generator scheduler runs a small
+   calibration job under a recording engine, and the schedule must
    reproduce that event stream byte for byte (a mismatch is a hard
    :class:`~repro.errors.SimulationError`, never a silent wrong answer).
-2. **Parameterize** — per-key divergence lives entirely in the probe
-   *addresses*: every key follows the same size-halving recurrence, so
-   one numpy pass computes the whole ``(n_keys, depth)`` probe matrix for
-   the paper's identity arrays (a pure-Python pass covers arbitrary
-   monotone ``value_fn`` tables), and schedule rows reference flat
-   ``key * depth + iteration`` indexes into it.
+2. **Parameterize** — binary searches (sorted arrays and the Main
+   dictionary's ``locate``) have one program shape per table: every key
+   follows the same size-halving recurrence, so their schedule is staged
+   once per shape and per-key divergence lives entirely in the probe
+   *addresses*. One numpy pass computes the whole ``(n_keys, depth)``
+   probe matrix for the paper's identity arrays (a pure-Python pass
+   covers arbitrary monotone ``value_fn`` tables). Delta ``locate`` walks
+   a CSB+-tree whose nodes hold different key counts, so each key's
+   program has its own length: it is read off the key's own
+   ``locate_stream``, stepped once without an engine. That stream never
+   reads what a ``Prefetch`` sends back, so no event depends on memory
+   state, and the generator stays the one definition of the walk.
 3. **Replay** — a loop generated and compiled per machine geometry
    executes the schedule directly against the live memory system (same
    cache dicts, same TLB LRU arrays, same line-fill buffers, same
@@ -35,7 +46,7 @@ module does the Python-simulator equivalent:
    :mod:`repro.sim.engine` performs.
 
 The registry executors (``Baseline``, ``GP``, ``AMAC``, ``CORO``,
-``sequential``) call :func:`replay_staged` on every run. Compiled
+``sequential``) call :func:`replay_staged` on every run. Binary-search
 schedules are memoized in-process and persisted through the
 content-addressed :class:`~repro.perf.cache.ResultCache` (when
 ``repro.perf`` has one configured), keyed on the schedule parameters plus
@@ -43,27 +54,34 @@ the simulator source fingerprint — editing any simulation source
 invalidates every stored schedule.
 
 Shapes the schedule can not represent fall back — **counted** — to the
-executor's generator scheduler: non-array workloads (CSB+-tree, hash
-probes, raw streams), traced runs (span recorders need the live event
-stream), engine subclasses, degenerate one-element tables, and array
-layouts whose elements can straddle a cache line. The counters are
-exported through ``repro.obs`` metrics under ``interleaving.compiled``.
+executor's generator scheduler: workloads other than sorted arrays and
+dictionary locates (CSB+-tree, hash probes, raw streams, whose programs
+may read a prefetch's outcome), the sequential Main locate (its
+speculative ``std`` search issues loads the replay loop does not model),
+traced runs (span recorders need the live event stream), engine
+subclasses, degenerate one-element tables, and layouts whose accesses
+can straddle a cache line. The counters are exported through
+``repro.obs`` metrics under ``interleaving.compiled``.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from operator import itemgetter
 from textwrap import indent as _indent_text
 from time import perf_counter
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.indexes.binary_search import DEFAULT_COSTS
-from repro.interleaving.executor import SORTED_ARRAY, BulkLookup
+from repro.indexes.base import INVALID_CODE
+from repro.interleaving.executor import LOCATE, SORTED_ARRAY, BulkLookup
 from repro.sim.allocator import PAGE_TABLE_BASE
 from repro.sim.engine import ExecutionEngine
+from repro.sim.events import Compute, Load, Prefetch, Suspend
 from repro.sim.lfb import FillRequest
 from repro.sim.tlb import PTE_SIZE
 
@@ -156,15 +174,22 @@ def _count_fallback(executor_name: str, reason: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# Schedule staging: symbolic ops per technique
+# Schedule staging: per-key programs, interleaved per technique
 # ----------------------------------------------------------------------
 #
 # Symbolic micro-ops, exactly one per engine-visible event:
-#   ("F",)          coroutine frame allocation
-#   ("SW", kind)    one stream switch (kind: "coro" | "amac" | "gp")
-#   ("IT",)         one search-iteration compute
-#   ("L", k, it)    demand load of key k's it-th probe
-#   ("P", k, it)    software prefetch of key k's it-th probe
+#   ("F",)              coroutine frame allocation
+#   ("SW", kind)        one stream switch (kind: "coro" | "amac" | "gp")
+#   ("C", cyc, ins)     one straight-line compute
+#   ("L", a, size)      demand load of addresses[a]
+#   ("P", a, size)      software prefetch of addresses[a]
+#   ("PL", a)           a further line of the prefetch before it
+#                       (addresses[a] is that line's first byte)
+# A key's *program* is the list of its segments: the ops between two
+# suspensions of its coroutine (or AMAC state machine), in order. The
+# stagers stream a schedule as *chunks* (sequences of ops): whole
+# segments plus the switches and frame allocations between them, so no
+# flattened op list is ever built.
 
 
 def search_depth(size: int) -> int:
@@ -176,136 +201,238 @@ def search_depth(size: int) -> int:
     return depth
 
 
-def _ops_sequential(n: int, depth: int, group_size: int) -> list:
+#: The compute of ``locate_stream``'s final equality check.
+_VERIFY_COMPUTE = ("C", 2, 2)
+
+
+def _search_program(
+    key: int, depth: int, interleave: bool, iter_op: tuple, element_size: int, verify
+) -> list:
+    """Key ``key``'s binary search (Listing 5) as a segment list.
+
+    Probe ``it`` is ``addresses[key * depth + it]``. With ``interleave``
+    each probe's prefetch ends a segment, as the coroutine's
+    ``Prefetch`` + ``SUSPEND`` does. ``verify`` is the address index of
+    key 0's verification load (``locate_stream``'s epilogue; key ``k``'s
+    is ``verify + k``), or ``None`` for a plain search.
+    """
+    base = key * depth
+    segments = []
+    segment = []
+    for it in range(depth):
+        if interleave:
+            segment.append(("P", base + it, element_size))
+            segments.append(segment)
+            segment = []
+        segment.append(("L", base + it, element_size))
+        segment.append(iter_op)
+    if verify is not None:
+        segment.append(("L", verify + key, element_size))
+        segment.append(_VERIFY_COMPUTE)
+    segments.append(segment)
+    return segments
+
+
+def _ops_sequential(programs: Iterator[list]) -> Iterator:
     """Baseline / sequential: each key runs to completion, in order."""
-    ops: list = []
-    append = ops.append
-    for key in range(n):
-        for it in range(depth):
-            append(("L", key, it))
-            append(("IT",))
-    return ops
+    for program in programs:
+        yield from program
 
 
-def _ops_gp(n: int, depth: int, group_size: int) -> list:
-    """Group prefetching: lock-step blocks, prefetch stage then load stage."""
-    ops: list = []
-    append = ops.append
-    for start in range(0, n, group_size):
-        end = min(start + group_size, n)
-        for it in range(depth):
-            for key in range(start, end):
-                append(("P", key, it))
-            for key in range(start, end):
-                append(("L", key, it))
-                append(("IT",))
-                append(("SW", "gp"))
-    return ops
+def _ops_round_robin(
+    programs: Iterator[list], n: int, group_size: int, technique: str
+) -> Iterator:
+    """CORO and AMAC: Listing 7's round-robin over ``group_size`` slots.
 
+    ``programs`` yields the ``n`` keys' segment lists in key order. Keys
+    take slots in that order, so a key's list is drawn only when it
+    takes one, and at most ``group_size`` lists are alive at once.
 
-def _ops_amac(n: int, depth: int, group_size: int) -> list:
-    """AMAC: round-robin buffer of state machines, refill inside a visit."""
-    ops: list = []
-    append = ops.append
+    Every visit to a live slot charges one switch and runs the slot's
+    next segment, so the interleaving depends only on each program's
+    segment count. The two techniques differ where a key ends. CORO
+    allocates one frame per slot up front; the visit after a key's last
+    segment recycles the frame for the next key and runs no events.
+    AMAC has no frames and refills the slot inside the same visit,
+    running the next key's first segment.
+    """
+    coro = technique == "coro"
+    switch = (("SW", technique),)
     group = min(group_size, n)
-    # Slot state: [key, prefetches_issued, stage] (0 = prefetch, 1 = access).
-    buffer: list = [[key, 0, 0] for key in range(group)]
-    next_input = group
-    not_done = group
-    while not_done:
-        for position in range(group):
-            slot = buffer[position]
-            if slot is None:
-                continue
-            append(("SW", "amac"))
-            while True:
-                if slot[2] == 1:  # access stage: consume the prefetched probe
-                    append(("L", slot[0], slot[1] - 1))
-                    append(("IT",))
-                    slot[2] = 0
-                    continue
-                if slot[1] < depth:  # prefetch stage: issue and switch
-                    append(("P", slot[0], slot[1]))
-                    slot[1] += 1
-                    slot[2] = 1
-                    break
-                if next_input < n:  # done: start the next key this visit
-                    slot[0] = next_input
-                    slot[1] = 0
-                    slot[2] = 0
-                    next_input += 1
-                    continue
-                buffer[position] = None
-                not_done -= 1
-                break
-    return ops
-
-
-def _ops_coro(n: int, depth: int, group_size: int) -> list:
-    """CORO: Listing 7's round-robin with frame recycling on refill."""
-    ops: list = []
-    append = ops.append
-    group = min(group_size, n)
-    # Slot state: [key, resumes_completed]; None once retired.
-    slots: list = []
-    for key in range(group):
-        append(("F",))  # only the first generation allocates frames
-        slots.append([key, 0])
-    next_input = group
+    if coro:
+        yield (("F",),) * group  # only the first generation allocates
+    # Slot state: [program, segments run]; None once retired.
+    slots: list = [[next(programs), 0] for _ in range(group)]
+    waiting = n - group
     not_done = group
     while not_done:
         for position in range(group):
             slot = slots[position]
             if slot is None:
                 continue
-            key, resumes = slot
-            if resumes <= depth:  # resumes 1 .. depth+1 do work
-                append(("SW", "coro"))
-                if resumes == 0:
-                    append(("P", key, 0))
-                elif resumes < depth:
-                    append(("L", key, resumes - 1))
-                    append(("IT",))
-                    append(("P", key, resumes))
+            program, ran = slot
+            if coro:
+                if ran < len(program):
+                    yield switch
+                    yield program[ran]
+                    slot[1] = ran + 1
+                elif waiting:  # recycled frame: no events this visit
+                    slots[position] = [next(programs), 0]
+                    waiting -= 1
                 else:
-                    append(("L", key, depth - 1))
-                    append(("IT",))
-                slot[1] = resumes + 1
-            elif next_input < n:  # recycled frame: no events this visit
-                slots[position] = [next_input, 0]
-                next_input += 1
-            else:
-                slots[position] = None
-                not_done -= 1
-    return ops
+                    slots[position] = None
+                    not_done -= 1
+                continue
+            yield switch
+            while True:
+                yield program[ran]
+                ran += 1
+                if ran < len(program):
+                    slot[0] = program
+                    slot[1] = ran
+                    break
+                if not waiting:
+                    slots[position] = None
+                    not_done -= 1
+                    break
+                program = next(programs)
+                waiting -= 1
+                ran = 0
 
 
-_OPS_BUILDERS = {
-    "baseline": _ops_sequential,
-    "sequential": _ops_sequential,
-    "gp": _ops_gp,
-    "amac": _ops_amac,
-    "coro": _ops_coro,
-}
+def _interleave(
+    technique: str, programs: Iterable[list], n: int, group_size: int
+) -> Iterator:
+    """The staged chunks of ``n`` key ``programs`` under ``technique``."""
+    if technique in ("coro", "amac"):
+        return _ops_round_robin(iter(programs), n, group_size, technique)
+    return _ops_sequential(iter(programs))
+
+
+def _ops_gp(
+    n: int, depth: int, group_size: int, iter_op: tuple, element_size: int
+) -> Iterator:
+    """Group prefetching: lock-step blocks, prefetch stage then load stage."""
+    switch = ("SW", "gp")
+    for start in range(0, n, group_size):
+        keys = range(start, min(start + group_size, n))
+        for it in range(depth):
+            yield [("P", key * depth + it, element_size) for key in keys]
+            for key in keys:
+                yield (("L", key * depth + it, element_size), iter_op, switch)
+
+
+def _search_shape(tasks: BulkLookup, table) -> tuple:
+    """``(n, depth, iter_op, element_size, verify)`` of a binary-search job.
+
+    ``verify`` marks a Main locate, whose ``locate_stream`` ends each
+    search with a verification load (address index ``n * depth + key``)
+    and compute.
+    """
+    costs = tasks.costs.for_table(table)
+    return (
+        len(tasks.inputs),
+        search_depth(table.size),
+        ("C", costs.iter_cycles, costs.iter_instructions),
+        table.element_size,
+        tasks.kind == LOCATE,
+    )
+
+
+def _search_chunks(technique: str, group_size: int, shape: tuple) -> Iterator:
+    """Staged chunks of the binary searches of ``shape``."""
+    n, depth, iter_op, element_size, verify = shape
+    if technique == "gp":
+        return _ops_gp(n, depth, group_size, iter_op, element_size)
+    interleave = technique in ("coro", "amac")
+    verify_base = n * depth if verify else None
+    programs = (
+        _search_program(key, depth, interleave, iter_op, element_size, verify_base)
+        for key in range(n)
+    )
+    return _interleave(technique, programs, n, group_size)
+
+
+class _LineStraddle(Exception):
+    """An access of a stepped program touches two cache lines."""
+
+
+def _stepped_programs(
+    tasks: BulkLookup, interleave: bool, line_size: int, addresses: list, results: list
+) -> Iterator[list]:
+    """Yield each input's locate program, read off its own stream.
+
+    Steps ``tasks.target.locate_stream`` once per input with no engine
+    attached, sending back ``None`` where the engine would send a
+    prefetch's outcome — the dictionary locates never read it. Appends
+    each program's addresses to ``addresses`` and its result to
+    ``results`` as it goes. Raises :class:`_LineStraddle` when an access
+    straddles a cache line (the replay loop touches one line per load).
+    """
+    dictionary, costs = tasks.target, tasks.costs
+    add = addresses.append
+    compute = compute_op = None
+    for value in tasks.inputs:
+        stream = dictionary.locate_stream(value, interleave, costs)
+        segments: list = [[]]
+        emit = segments[0].append
+        send = stream.send
+        try:
+            while True:
+                event = send(None)
+                kind = type(event)
+                if kind is Load and event.spec_next is None:
+                    address = event.addr
+                    size = event.size
+                    if address % line_size + size > line_size:
+                        raise _LineStraddle
+                    emit(("L", len(addresses), size))
+                    add(address)
+                elif kind is Compute:
+                    # Streams reuse their fixed computes: one op per object.
+                    if event is not compute:
+                        compute = event
+                        compute_op = ("C", event.cycles, event.instructions)
+                    emit(compute_op)
+                elif kind is Suspend:
+                    segment: list = []
+                    segments.append(segment)
+                    emit = segment.append
+                elif kind is Prefetch and event.nta:
+                    address = event.addr
+                    size = event.size
+                    emit(("P", len(addresses), size))
+                    add(address)
+                    last = (address + size - 1) // line_size
+                    for line in range(address // line_size + 1, last + 1):
+                        emit(("PL", len(addresses)))
+                        add(line * line_size)
+                else:
+                    raise SimulationError(
+                        f"locate program yielded {event!r}, which staged "
+                        "replay does not model"
+                    )
+        except StopIteration as stop:
+            results.append(stop.value)
+        yield segments
+
 
 # ----------------------------------------------------------------------
 # Lowering: symbolic ops -> replay rows
 # ----------------------------------------------------------------------
 #
-# Replay rows are uniform 4-tuples (opcode, flat_index, advance,
-# instructions):
-#   (1, flat_index, adv, ins)   demand load of addresses[flat_index]
-#   (2, flat_index, adv, ins)   software prefetch of addresses[flat_index]
-#   (0, 0, adv, ins)            trailing pure compute (end of schedule)
-# where flat_index = key * depth + iteration, and (adv, ins) is the
-# straight-line compute block *preceding* the memory operation —
-# switches, search iterations, and frame allocations merged into one
-# pre-normalized clock advance + instruction count. Merging is exact
-# because the engine normalizes each compute's advance independently
-# before the clock moves (integer arithmetic, order-free sum). The
-# prefetch instruction's own issue compute is inlined in the replay
-# handler (it sits between the translation and the fill, so it can
-# never merge with neighbours).
+# Replay rows are uniform 3-tuples (opcode, address_index, advance):
+#   (1, a, adv)   demand load of addresses[a]
+#   (2, a, adv)   software prefetch of addresses[a]
+#   (3, a, 0)     the same prefetch's next line, addresses[a]
+#   (0, 0, adv)   trailing pure compute (end of schedule)
+# where adv is the straight-line compute block *preceding* the memory
+# operation — switches, computes, and frame allocations merged into one
+# pre-normalized clock advance. Merging is exact because the engine
+# normalizes each compute's advance independently before the clock
+# moves (integer arithmetic, order-free sum). The prefetch instruction's
+# own issue compute is inlined in the replay handler (it sits between
+# the translation and the fill, so it can never merge with neighbours).
 
 
 def _advance(cycles: int, instructions: int, issue_width: int) -> int:
@@ -314,8 +441,8 @@ def _advance(cycles: int, instructions: int, issue_width: int) -> int:
     return cycles if cycles >= floor else floor
 
 
-def _lower_rows(ops: list, depth: int, iter_cost: tuple, cost_model) -> tuple:
-    """Lower symbolic ops to ``(op, flat_index, advance)`` rows + totals.
+def _lower_rows(chunks: Iterable, cost_model) -> tuple:
+    """Lower staged chunks to ``(op, address_index, advance)`` rows + totals.
 
     Instruction retirement and issue-slot accounting are *static* per
     schedule — every compute charge is known at staging time, and the
@@ -324,14 +451,19 @@ def _lower_rows(ops: list, depth: int, iter_cost: tuple, cost_model) -> tuple:
     of being re-accumulated on every replay.
     """
     issue_width = cost_model.issue_width
-    switch_costs = {
-        "coro": cost_model.coro_switch,
-        "amac": cost_model.amac_switch,
-        "gp": cost_model.gp_switch,
+
+    def charge(cycles: int, instructions: int) -> tuple:
+        return _advance(cycles, instructions, issue_width), instructions
+
+    # (advance, instructions) of every non-memory op, keyed by the op;
+    # each compute op is added the first time it is seen.
+    charges = {
+        ("SW", kind): charge(*getattr(cost_model, f"{kind}_switch"))
+        for kind in ("coro", "amac", "gp")
     }
-    frame_cost = (cost_model.frame_alloc_cycles, cost_model.frame_alloc_instructions)
-    iter_cycles, iter_instructions = iter_cost
-    iter_advance = _advance(iter_cycles, iter_instructions, issue_width)
+    charges[("F",)] = charge(
+        cost_model.frame_alloc_cycles, cost_model.frame_alloc_instructions
+    )
     pf_instructions = cost_model.prefetch_issue_instructions
     pf_advance = _advance(
         cost_model.prefetch_issue_cycles, pf_instructions, issue_width
@@ -339,32 +471,25 @@ def _lower_rows(ops: list, depth: int, iter_cost: tuple, cost_model) -> tuple:
     rows: list = []
     append = rows.append
     pending_advance = 0
-    pending_instructions = 0
     instructions_total = 0
     advance_total = 0
-    for op in ops:
+    for op in chain.from_iterable(chunks):
         tag = op[0]
         if tag == "L":
-            append((1, op[1] * depth + op[2], pending_advance))
+            append((1, op[1], pending_advance))
             pending_advance = 0
         elif tag == "P":
-            append((2, op[1] * depth + op[2], pending_advance))
+            append((2, op[1], pending_advance))
             pending_advance = 0
             instructions_total += pf_instructions
             advance_total += pf_advance
-        elif tag == "IT":
-            pending_advance += iter_advance
-            instructions_total += iter_instructions
-            advance_total += iter_advance
-        elif tag == "SW":
-            cycles, instructions = switch_costs[op[1]]
-            step = _advance(cycles, instructions, issue_width)
-            pending_advance += step
-            instructions_total += instructions
-            advance_total += step
-        else:  # "F"
-            cycles, instructions = frame_cost
-            step = _advance(cycles, instructions, issue_width)
+        elif tag == "PL":
+            append((3, op[1], 0))
+        else:
+            step_charge = charges.get(op)
+            if step_charge is None:  # a "C" op not seen yet
+                step_charge = charges[op] = charge(op[1], op[2])
+            step, instructions = step_charge
             pending_advance += step
             instructions_total += instructions
             advance_total += step
@@ -387,20 +512,9 @@ def _persistent_cache():
     return perf._config.cache
 
 
-def _schedule_rows(
-    technique: str, n: int, depth: int, group_size: int, iter_cost: tuple, cost_model
-) -> tuple:
-    """Stage (or recall) the flattened event schedule for one shape.
-
-    Returns ``(rows, totals)`` where ``totals`` is the static
-    ``(instructions, core_slots)`` accounting of the whole schedule.
-    """
-    signature = (
-        technique,
-        n,
-        depth,
-        group_size,
-        tuple(iter_cost),
+def _cost_signature(cost_model) -> tuple:
+    """Every cost-model field a staged schedule or its lowering reads."""
+    return (
         tuple(cost_model.coro_switch),
         tuple(cost_model.amac_switch),
         tuple(cost_model.gp_switch),
@@ -408,6 +522,17 @@ def _schedule_rows(
         (cost_model.prefetch_issue_cycles, cost_model.prefetch_issue_instructions),
         cost_model.issue_width,
     )
+
+
+def _schedule_rows(
+    technique: str, group_size: int, shape: tuple, cost_model
+) -> tuple:
+    """Stage (or recall) the flattened schedule of one binary-search shape.
+
+    Returns ``(rows, totals)`` where ``totals`` is the static
+    ``(instructions, core_slots)`` accounting of the whole schedule.
+    """
+    signature = (technique, group_size, *shape, *_cost_signature(cost_model))
     staged = _SCHEDULE_MEMO.get(signature)
     if staged is not None:
         _STATS["schedule_cache_hits"] += 1
@@ -426,8 +551,7 @@ def _schedule_rows(
                 _SCHEDULE_MEMO[signature] = staged
                 _STATS["schedule_compile_s"] += perf_counter() - started
                 return staged
-    ops = _OPS_BUILDERS[technique](n, depth, group_size)
-    staged = _lower_rows(ops, depth, iter_cost, cost_model)
+    staged = _lower_rows(_search_chunks(technique, group_size, shape), cost_model)
     _SCHEDULE_MEMO[signature] = staged
     _STATS["compiled_schedules"] += 1
     if key is not None:
@@ -511,6 +635,26 @@ def _probe_addresses(table, values, depth: int) -> tuple[list, list]:
     return addresses, results
 
 
+def _search_addresses(table, values, shape: tuple) -> tuple[list, list]:
+    """Probe addresses and results of a binary-search job of ``shape``.
+
+    A Main ``locate`` appends each key's verification address after the
+    probe matrix, and maps misses to ``INVALID_CODE`` as
+    ``locate_stream`` does.
+    """
+    _, depth, _, _, verify = shape
+    addresses, lows = _probe_addresses(table, values, depth)
+    if not verify:
+        return addresses, lows
+    address_of = table.address_of
+    value_at = table.value_at
+    addresses.extend([address_of(low) for low in lows])
+    return addresses, [
+        low if value_at(low) == value else INVALID_CODE
+        for low, value in zip(lows, values)
+    ]
+
+
 # ----------------------------------------------------------------------
 # Trace recording: the staging is checked against the live executor
 # ----------------------------------------------------------------------
@@ -520,7 +664,10 @@ class _RecordingEngine(ExecutionEngine):
     """Engine that logs every event it executes (calibration runs only)."""
 
     def __init__(self, arch) -> None:
-        super().__init__(arch)
+        # The staged shapes never read memory state, so the calibration
+        # machine keeps the cost model but only a one-set L3.
+        l3 = replace(arch.l3, size=arch.l3.associativity * arch.line_size)
+        super().__init__(arch.replace(l3=l3))
         self.trace: list = []
 
     def compute(self, cycles, instructions):
@@ -543,84 +690,95 @@ class _RecordingEngine(ExecutionEngine):
 #: Validation signatures already checked this process.
 _VALIDATED: set = set()
 
-#: Calibration table: 1 KB of 4-byte identity elements -> depth 8.
+#: Calibration tables: 1 KB of 4-byte elements -> search depth 8.
 _CALIBRATION_BYTES = 1024
 
+#: Calibration Delta: 229 entries in 48-byte nodes -> a three-level tree
+#: whose last inner node holds one key and whose last leaf holds one entry.
+_CALIBRATION_DELTA = (229 * 4, 48)
 
-def _expand_expected(ops, addresses, depth, iter_cost, element_size, cost):
-    """What a :class:`_RecordingEngine` must log for a staged schedule."""
+
+def _calibration_job(shape: str, n: int) -> BulkLookup:
+    """``n`` lookups of ``shape`` on a small table, hits and misses mixed."""
+    from repro.sim.allocator import AddressSpaceAllocator
+
+    allocator = AddressSpaceAllocator()
+    name = "compile-calibration"
+    if shape == "sorted_array":
+        from repro.indexes.sorted_array import int_array_of_bytes
+
+        table = int_array_of_bytes(allocator, name, _CALIBRATION_BYTES)
+        return BulkLookup.sorted_array(
+            table, [(index * 97 + 13) % table.size for index in range(n)]
+        )
+    from repro.columnstore.dictionary import DeltaDictionary, MainDictionary
+
+    if shape == "main_locate":
+        # Even values only: odd literals miss.
+        count = _CALIBRATION_BYTES // 4
+        dictionary = MainDictionary.from_values(allocator, name, range(0, 2 * count, 2))
+    else:
+        nbytes, node_size = _CALIBRATION_DELTA
+        dictionary = DeltaDictionary.implicit(
+            allocator, name, nbytes, node_size=node_size
+        )
+    span = 2 * dictionary.n_values + 8
+    return BulkLookup.locate(
+        dictionary, [(index * 97 + 13) % span - 4 for index in range(n)]
+    )
+
+
+def _expand_expected(chunks: Iterable, addresses: list, cost) -> list:
+    """What a :class:`_RecordingEngine` must log for staged ``chunks``."""
     expected: list = []
     append = expected.append
-    switch_costs = {
-        "coro": cost.coro_switch,
-        "amac": cost.amac_switch,
-        "gp": cost.gp_switch,
-    }
-    for op in ops:
+    for op in chain.from_iterable(chunks):
         tag = op[0]
         if tag == "L":
-            append(("L", addresses[op[1] * depth + op[2]], element_size))
+            append(("L", addresses[op[1]], op[2]))
         elif tag == "P":
-            append(("P", addresses[op[1] * depth + op[2]], element_size))
+            append(("P", addresses[op[1]], op[2]))
             append(("C", cost.prefetch_issue_cycles, cost.prefetch_issue_instructions))
-        elif tag == "IT":
-            append(("C", iter_cost[0], iter_cost[1]))
+        elif tag == "C":
+            append(op)
         elif tag == "SW":
-            cycles, instructions = switch_costs[op[1]]
-            append(("C", cycles, instructions))
-        else:  # "F"
+            append(("C", *getattr(cost, f"{op[1]}_switch")))
+        elif tag == "F":
             append(("F",))
             append(("C", cost.frame_alloc_cycles, cost.frame_alloc_instructions))
+        # "PL" is part of the prefetch before it: the engine logs one event.
     return expected
 
 
-def _validate_staging(executor, group_size: int, arch) -> None:
+def _validate_staging(executor, shape: str, group_size: int, arch) -> None:
     """Record the generator scheduler once; the staged schedule must match it.
 
-    Runs ``executor``'s generator scheduler on a small calibration table
-    under a :class:`_RecordingEngine` and compares its event stream —
-    addresses, sizes, and compute charges included — against the staged
-    ops expanded with the calibration probe addresses. Covers the
-    schedule structure end to end: prologue allocations, refill timing,
-    partial final generations, and the per-visit event mix.
+    Runs ``executor``'s generator scheduler on a small calibration job
+    of ``shape`` under a :class:`_RecordingEngine` and compares its
+    event stream — addresses, sizes, and compute charges included —
+    against the staged ops expanded with the calibration addresses.
+    Covers the schedule structure end to end: prologue allocations,
+    refill timing, partial final generations, per-key epilogues, and
+    the per-visit event mix.
     """
     technique = executor.schedule
     cost = arch.cost
-    signature = (
-        technique,
-        group_size,
-        cost.issue_width,
-        tuple(cost.coro_switch),
-        tuple(cost.amac_switch),
-        tuple(cost.gp_switch),
-        (cost.frame_alloc_cycles, cost.frame_alloc_instructions),
-        (cost.prefetch_issue_cycles, cost.prefetch_issue_instructions),
-    )
+    signature = (shape, technique, group_size, *_cost_signature(cost))
     if signature in _VALIDATED:
         return
-    from repro.indexes.sorted_array import int_array_of_bytes
-    from repro.sim.allocator import AddressSpaceAllocator
-
-    table = int_array_of_bytes(
-        AddressSpaceAllocator(), "compile-calibration", _CALIBRATION_BYTES
-    )
-    depth = search_depth(table.size)
     n = 2 * group_size + max(2, group_size // 2)  # 2 generations + a partial
-    values = [(index * 97 + 13) % table.size for index in range(n)]
+    job = _calibration_job(shape, n)
     recorder = _RecordingEngine(arch)
-    recorded_results = executor._run_generators(
-        BulkLookup.sorted_array(table, values), recorder, group_size
+    recorded_results = executor._run_generators(job, recorder, group_size)
+    chunks, addresses, staged_results = _staged_chunks(
+        technique, job, _search_table(job), group_size, arch.line_size
     )
-    iter_cost = (DEFAULT_COSTS.iter_cycles, DEFAULT_COSTS.iter_instructions)
-    ops = _OPS_BUILDERS[technique](n, depth, group_size)
-    addresses, staged_results = _probe_addresses(table, values, depth)
-    expected = _expand_expected(
-        ops, addresses, depth, iter_cost, table.element_size, cost
-    )
+    expected = _expand_expected(chunks, addresses, cost)
     if expected != recorder.trace or list(recorded_results) != staged_results:
         raise SimulationError(
-            f"staged {technique!r} schedule (group_size={group_size}) does "
-            f"not reproduce the recorded generator trace; refusing to replay"
+            f"staged {technique!r} schedule for {shape} jobs "
+            f"(group_size={group_size}) does not reproduce the recorded "
+            f"generator trace; refusing to replay"
         )
     _VALIDATED.add(signature)
     _STATS["validations"] += 1
@@ -855,8 +1013,9 @@ def _staged_replay(rows, lines, vpns, pte_lines, in_flight, heap, seq,
     for op, a, advance in rows:
         if advance:
             clock += advance
-        if op == 1:
+        if op == 1 or op == 2:  # the access's address translation
 {_indent_text(_translate_src(C), "            ")}
+        if op == 1:
 {_indent_text(_drain_src("clock", C), "            ")}
             line = lines[a]
             ways = l1_sets[line % {C["l1_n"]}]
@@ -888,9 +1047,9 @@ def _staged_replay(rows, lines, vpns, pte_lines, in_flight, heap, seq,
             if exposed > 0:
                 exposed_stall += exposed
                 clock += exposed
-        elif op == 2:
-{_indent_text(_translate_src(C), "            ")}
-            clock += {C["pf_adv"]}
+        elif op:  # 2: a prefetch; 3: its next line (no translation, no issue)
+            if op == 2:
+                clock += {C["pf_adv"]}
 {_indent_text(_drain_src("clock", C), "            ")}
             line = lines[a]
             prefetch_count += 1
@@ -955,7 +1114,11 @@ def _specialized_impl(engine: ExecutionEngine):
 def _replay(
     engine: ExecutionEngine, rows: list, totals: tuple, addresses: list
 ) -> None:
-    """Replay a staged schedule through the geometry's specialized loop."""
+    """Replay a staged schedule through the geometry's specialized loop.
+
+    Consumes ``addresses``: the list is emptied once split into lines,
+    pages and page-table lines, so the loop runs with one copy alive.
+    """
     memory = engine.memory
     line_size = memory.line_size
     tlb = memory.tlb
@@ -970,6 +1133,8 @@ def _replay(
         vpns_np = addresses_np // page_size
         vpns = vpns_np.tolist()
         pte_lines = ((PAGE_TABLE_BASE + vpns_np * PTE_SIZE) // line_size).tolist()
+        del addresses_np, vpns_np
+    addresses.clear()
     lfbs = memory.lfbs
     # Seed the completion heap from fills already in flight; dict
     # insertion order is fill-start order, which the sequence numbers
@@ -1050,6 +1215,72 @@ def _replay(
 # ----------------------------------------------------------------------
 
 
+def _search_table(tasks: BulkLookup):
+    """The sorted array ``tasks`` binary-searches, or ``None``.
+
+    Sorted-array jobs search their target and Main locates their
+    dictionary's array; a Delta locate walks a tree instead.
+    """
+    if tasks.kind == SORTED_ARRAY:
+        return tasks.target
+    # Imported here: the columnstore builds on the executor framework.
+    from repro.columnstore.dictionary import MainDictionary
+
+    if isinstance(tasks.target, MainDictionary):
+        return tasks.target.array
+    return None
+
+
+def _staged_chunks(
+    technique: str, tasks: BulkLookup, table, group_size: int, line_size: int
+) -> tuple:
+    """``(chunks, addresses, results)`` for one job, unlowered.
+
+    A Delta locate (``table`` is ``None``) steps its streams as the
+    chunks are consumed, filling ``addresses`` and ``results`` as it
+    goes; consuming them raises :class:`_LineStraddle` when an access
+    straddles a cache line.
+    """
+    if table is not None:
+        shape = _search_shape(tasks, table)
+        chunks = _search_chunks(technique, group_size, shape)
+        return (chunks, *_search_addresses(table, tasks.inputs, shape))
+    addresses: list = []
+    results: list = []
+    programs = _stepped_programs(
+        tasks, technique == "coro", line_size, addresses, results
+    )
+    chunks = _interleave(technique, programs, len(tasks.inputs), group_size)
+    return chunks, addresses, results
+
+
+def _stage(
+    technique: str, tasks: BulkLookup, table, group_size: int, engine
+) -> tuple | None:
+    """``(rows, totals, addresses, results)`` for one job.
+
+    Binary searches of ``table`` recall their shape's memoized schedule
+    and compute the probe addresses; Delta locates (``table`` is
+    ``None``) stage from their stepped programs. ``None`` means an
+    access straddles a cache line.
+    """
+    if table is not None:
+        shape = _search_shape(tasks, table)
+        rows, totals = _schedule_rows(technique, group_size, shape, engine.cost)
+        return (rows, totals, *_search_addresses(table, tasks.inputs, shape))
+    started = perf_counter()
+    chunks, addresses, results = _staged_chunks(
+        technique, tasks, None, group_size, engine.memory.line_size
+    )
+    try:
+        rows, totals = _lower_rows(chunks, engine.cost)
+    except _LineStraddle:
+        return None
+    _STATS["compiled_schedules"] += 1
+    _STATS["schedule_compile_s"] += perf_counter() - started
+    return rows, totals, addresses, results
+
+
 def replay_staged(executor, tasks: BulkLookup, engine: ExecutionEngine,
                   group_size: int) -> list | None:
     """Run ``tasks`` by replaying ``executor``'s staged schedule.
@@ -1060,38 +1291,44 @@ def replay_staged(executor, tasks: BulkLookup, engine: ExecutionEngine,
     """
     if not tasks.inputs:
         return []  # every generator scheduler returns [] event-free
-    reason = _fallback_reason(tasks, engine)
+    table = _search_table(tasks)
+    reason = _fallback_reason(executor, tasks, table, engine)
+    if reason is None:
+        shape = tasks.kind
+        if shape == LOCATE:
+            shape = "delta_locate" if table is None else "main_locate"
+        _validate_staging(executor, shape, group_size, engine.arch)
+        started = perf_counter()
+        compile_s = _STATS["schedule_compile_s"]
+        staged = _stage(executor.schedule, tasks, table, group_size, engine)
+        if staged is None:
+            reason = "line_straddle"
     if reason is not None:
         _count_fallback(executor.name, reason)
         return None
-    table = tasks.target
-    depth = search_depth(table.size)
-    _validate_staging(executor, group_size, engine.arch)
-    costs = tasks.costs.for_table(table)
-    rows, totals = _schedule_rows(
-        executor.schedule,
-        len(tasks.inputs),
-        depth,
-        group_size,
-        (costs.iter_cycles, costs.iter_instructions),
-        engine.cost,
-    )
-    started = perf_counter()
-    addresses, results = _probe_addresses(table, tasks.inputs, depth)
+    rows, totals, addresses, results = staged
     _replay(engine, rows, totals, addresses)
-    _STATS["replay_s"] += perf_counter() - started
+    # Staging books its own time; the rest of the call is replay.
+    _STATS["replay_s"] += (
+        perf_counter() - started - (_STATS["schedule_compile_s"] - compile_s)
+    )
     _STATS["replays"] += 1
     return results
 
 
-def _fallback_reason(tasks: BulkLookup, engine: ExecutionEngine) -> str | None:
-    if tasks.kind != SORTED_ARRAY:
-        return "workload_kind"
+def _fallback_reason(
+    executor, tasks: BulkLookup, table, engine: ExecutionEngine
+) -> str | None:
+    if tasks.kind not in (SORTED_ARRAY, LOCATE):
+        return "workload_kind"  # programs that may read a prefetch's outcome
+    if tasks.kind == LOCATE and table is not None and executor.schedule == "sequential":
+        return "speculative"  # the sequential Main locate runs the std search
     if engine.tracer.enabled:
         return "tracer"
     if type(engine) is not ExecutionEngine:
         return "engine_subclass"
-    table = tasks.target
+    if table is None:
+        return None  # Delta straddles show up while its programs are stepped
     if search_depth(table.size) < 1:
         return "shallow_table"
     element_size = table.element_size

@@ -15,8 +15,8 @@ schedules drop-in interchangeable:
   ``run(tasks, engine, *, group_size, recorder) -> results`` plus
   ``name`` and ``supports(workload_kind)``.
 * :class:`BulkLookup` — one bulk index-join job: a workload *kind*
-  (sorted array, CSB+-tree, hash probe, or a raw stream factory), the
-  probed structure, and the input values.
+  (sorted array, CSB+-tree, hash probe, dictionary locate, or a raw
+  stream factory), the probed structure, and the input values.
 * :data:`EXECUTOR_REGISTRY` — string-keyed registry populated by the
   :func:`register_executor` decorator; every technique declares which
   workload kinds it supports, so callers ask the registry instead of
@@ -74,6 +74,7 @@ __all__ = [
     "SORTED_ARRAY",
     "CSB_TREE",
     "HASH_PROBE",
+    "LOCATE",
     "STREAM",
     "BulkLookup",
     "Executor",
@@ -97,11 +98,14 @@ SORTED_ARRAY = "sorted_array"
 CSB_TREE = "csb_tree"
 #: Bulk probes of a :class:`~repro.indexes.hash_table.ChainedHashTable`.
 HASH_PROBE = "hash_probe"
+#: Exact-match ``locate`` in a column dictionary (Main or Delta): the
+#: dictionary's own ``locate_stream`` is the per-key program.
+LOCATE = "locate"
 #: Arbitrary coroutine lookups from a user-supplied stream factory.
 STREAM = "stream"
 
 #: Every workload kind an executor may declare support for.
-WORKLOAD_KINDS = (SORTED_ARRAY, CSB_TREE, HASH_PROBE, STREAM)
+WORKLOAD_KINDS = (SORTED_ARRAY, CSB_TREE, HASH_PROBE, LOCATE, STREAM)
 
 
 @dataclass(frozen=True)
@@ -148,6 +152,12 @@ class BulkLookup:
     @classmethod
     def hash_probe(cls, table, keys: Sequence[int]) -> "BulkLookup":
         return cls(HASH_PROBE, table, tuple(keys))
+
+    @classmethod
+    def locate(
+        cls, dictionary, values: Sequence[object], costs: SearchCosts = DEFAULT_COSTS
+    ) -> "BulkLookup":
+        return cls(LOCATE, dictionary, tuple(values), costs)
 
     @classmethod
     def stream(cls, factory: StreamFactory, inputs: Sequence[object]) -> "BulkLookup":
@@ -358,6 +368,11 @@ def _stream_factory(tasks: BulkLookup) -> StreamFactory:
         tree, costs = tasks.target, tasks.costs
         return lambda value, interleave: csb_lookup_stream(
             tree, value, interleave, costs
+        )
+    if tasks.kind == LOCATE:
+        dictionary, costs = tasks.target, tasks.costs
+        return lambda value, interleave: dictionary.locate_stream(
+            value, interleave, costs
         )
     if tasks.kind == HASH_PROBE:
         table = tasks.target

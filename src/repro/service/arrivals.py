@@ -236,13 +236,14 @@ class DiurnalArrivals(_OpenLoop):
         base = self.base_rate_per_kcycle / 1000.0
         clock = 0.0
         times = []
+        weights = self._weights_at(clock)
         for _ in range(self.n_requests):
-            weights = self._weights_at(clock)
             total_rate = base * (sum(weights) / self.n_regions)
             clock += self._rng.expovariate(total_rate)
             times.append(int(clock))
             # Draw the originating region from the weights at the
-            # *arrival* instant (recomputed: the sinusoid moved).
+            # *arrival* instant (the sinusoid moved); they also set the
+            # rate of the next gap, which starts at this instant.
             weights = self._weights_at(clock)
             draw = self._rng.uniform(0.0, sum(weights))
             cumulative = 0.0

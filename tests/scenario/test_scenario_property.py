@@ -28,12 +28,13 @@ Oracles:
   only on a state change, so a missed change shows up here).
 
 Shrunk counterexamples found while writing the oracles stay below as
-``@example`` rows.
+``@example`` rows. ``pytest --hypothesis-profile=thorough`` runs a
+larger randomized search (see ``tests/hypothesis_profiles.py``).
 """
 
 import contextlib
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro import api, perf
 from repro.faults.schedule import fault_profile_names
@@ -41,9 +42,9 @@ from repro.obs.rtrace import trace_errors
 from repro.scenario import Scenario
 from repro.service.loadgen import run_traced_scenario
 from repro.service.server import ServiceServer
+from tests.hypothesis_profiles import property_settings
 
-#: One fixed CI profile: the same examples on every run.
-CI = settings(max_examples=200, deadline=None, derandomize=True)
+CI = property_settings(max_examples=200)
 
 
 @st.composite

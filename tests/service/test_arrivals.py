@@ -9,6 +9,7 @@ from repro.service.arrivals import (
     ARRIVAL_KINDS,
     BurstyArrivals,
     ClosedLoopArrivals,
+    DiurnalArrivals,
     PoissonArrivals,
     make_arrivals,
 )
@@ -85,6 +86,24 @@ class TestBursty:
     def test_phase_bounds_validated(self):
         with pytest.raises(WorkloadError, match="phase"):
             BurstyArrivals(1.0, 2.0, 0, 10, 5, seed=0)
+
+
+class TestDiurnal:
+    def test_weights_are_computed_once_per_arrival(self, monkeypatch):
+        # One evaluation per arrival instant (region draw and next gap
+        # share it) plus the initial one at cycle 0.
+        calls = []
+        weights_at = DiurnalArrivals._weights_at
+
+        def counted(self, cycle):
+            calls.append(cycle)
+            return weights_at(self, cycle)
+
+        monkeypatch.setattr(DiurnalArrivals, "_weights_at", counted)
+        arrivals = DiurnalArrivals(0.5, 300, seed=3, n_regions=3, day_cycles=50_000)
+        times = arrivals.drain()
+        assert len(times) == 300 and len(arrivals.regions) == 300
+        assert len(calls) == 301 and calls[0] == 0.0
 
 
 class TestClosedLoop:
